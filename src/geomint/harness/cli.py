@@ -149,7 +149,7 @@ def _build_config(args):
         method=method,
         h=pick("h", float),
         t_end=pick("t_end", float),
-        record_every=pick("record_every", int) or 1,
+        record_every=pick("record_every", int),
         params=params,
         output=args.output or file_values.get("output"),
         seed=0 if seed is None else int(seed),

@@ -22,6 +22,7 @@ with a configurable number of substeps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,6 +38,9 @@ from .errors import (
 from .series import SeriesTable
 
 _ORTHO_TOL = 1e-10
+# Entries of the memo of a Y-independent rotating field: one step sweeps
+# 2 * substeps + 1 distinct times, 21 at the default substeps = 10.
+_FIELD_CACHE_SIZE = 32
 
 
 @dataclass
@@ -116,14 +120,20 @@ def curvature_proxy(y: LowRankFactors) -> float:
 class MatrixFlow:
     """Right-hand side F of dY/dt = F(t, Y) plus optional exact solution.
 
-    ``eval_F(t, y_full) -> array`` of the same shape; ``exact_A(t)``, if
-    given, returns the exact solution matrix for error measurement.
+    ``eval_F(t, y_full) -> array`` of the same shape; callers must not
+    write to the array it returns, which may be shared between calls.
+    ``exact_A(t)``, if given, returns the exact solution matrix for error
+    measurement.  ``exact_sigma``, if given, holds the singular values of
+    ``exact_A(t)`` in descending order, all min(m, n) of them; it is only
+    valid for a family whose spectrum is the same for every t, and lets
+    records skip an SVD of ``exact_A(t)``.
     """
 
     shape: tuple
     eval_F: Callable
     exact_A: Optional[Callable] = None
     name: str = "flow"
+    exact_sigma: Optional[np.ndarray] = None
 
 
 def _rk4(f, t0, span, y0, substeps):
@@ -222,6 +232,11 @@ class LowRankRecord:
 
 
 def _record(flow, y, t):
+    """Snapshot of ``y`` at time t.
+
+    The best-approximation error comes from ``flow.exact_sigma`` when the
+    flow knows its spectrum, and from an SVD of ``exact_A(t)`` otherwise.
+    """
     sigma = svd_full(y.s).sigma
     smin = float(sigma[-1])
     curvature = np.inf if smin == 0.0 else 1.0 / smin
@@ -229,7 +244,7 @@ def _record(flow, y, t):
     if flow.exact_A is not None:
         a = flow.exact_A(t)
         error = float(np.linalg.norm(to_full(y) - a))
-        sig_a = svd_full(a).sigma
+        sig_a = flow.exact_sigma if flow.exact_sigma is not None else svd_full(a).sigma
         best = float(np.sqrt(np.sum(sig_a[y.rank:] ** 2)))
     return LowRankRecord(t=t, factors=y, sigma=sigma, curvature=curvature, error=error, best_error=best)
 
@@ -350,6 +365,14 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
     right-hand side is F(t, Y) = W1 Y + Y W2^T (A solves this exactly
     from A(0) = D); otherwise F(t, Y) = dA/dt evaluated from the closed
     form, independent of Y.
+
+    Only the Y-independent field is memoized: it keeps the last 32
+    distinct ``float(t)`` values and returns read-only arrays.  One
+    splitting step evaluates it at 2 * substeps + 1 times, reused across
+    its K, S and L substeps and the shared RK4 midpoint; with substeps
+    > 15 one step's times no longer fit, so the cache still serves the
+    shared midpoints but recomputes across substeps.  ``exact_sigma`` is
+    set to the sorted |diagonal values|, padded with zeros to min(m, n).
     """
     d_vals = np.asarray(diag_values, dtype=float)
     r0 = d_vals.size
@@ -378,11 +401,20 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
     if y_dependent:
         eval_f = lambda t, y: w1 @ y + y @ w2.T
     else:
-        def eval_f(t, y):
+        @functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
+        def field(t):
             a = exact_a(t)
-            return w1 @ a + a @ w2.T
+            f = w1 @ a + a @ w2.T
+            f.flags.writeable = False
+            return f
 
-    return MatrixFlow(shape=(m, n), eval_F=eval_f, exact_A=exact_a, name="rotating")
+        def eval_f(t, y):
+            return field(float(t))
+
+    sigma = np.zeros(min(m, n))
+    sigma[:r0] = np.sort(np.abs(d_vals))[::-1]
+    return MatrixFlow(shape=(m, n), eval_F=eval_f, exact_A=exact_a, name="rotating",
+                      exact_sigma=sigma)
 
 
 def robustness_benchmark(

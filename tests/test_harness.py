@@ -209,6 +209,12 @@ def test_contract_violation_maps_to_exit_two(tmp_path):
     ]) == 2
 
 
+def test_record_every_zero_is_contract_violation(tmp_path):
+    dest = tmp_path / "solar.csv"
+    assert cli.main(["run", "solar", "--record-every", "0", "--output", str(dest)]) == 2
+    assert not dest.exists()
+
+
 def test_divergence_maps_to_exit_three(tmp_path, capsys):
     dest = tmp_path / "diverged.csv"
     code = cli.main([

@@ -1,7 +1,11 @@
 """Rank-constrained matrix integration: factors, projection, splitting step."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomint import lowrank
 from geomint.errors import (
@@ -289,6 +293,60 @@ def test_integrate_validations():
         integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, record_every=0)
     with pytest.raises(ContractViolationError):
         integrate_lowrank(flow, y0, 0.0, 1.0, 10.0)
+
+
+# ------------------------------------------------------------- rotating flow
+
+
+def test_rotating_field_is_read_only():
+    flow = rotating_flow([1.0, 0.5], m=5, n=4, seed=3, y_dependent=False)
+    f = flow.eval_F(0.3, np.zeros((5, 4)))
+    before = f.copy()
+    with pytest.raises(ValueError):
+        f += 1.0
+    assert np.array_equal(flow.eval_F(0.3, np.zeros((5, 4))), before)
+
+
+@st.composite
+def rotating_flow_args(draw):
+    # n >= 2: a 1-by-1 skew generator is zero and cannot be scaled to unit norm.
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(n, 12))
+    rank = draw(st.integers(1, n))
+    diag = draw(st.lists(
+        st.floats(-10.0, 10.0, allow_nan=False).filter(lambda x: abs(x) >= 1e-3),
+        min_size=1, max_size=n,
+    ))
+    seed = draw(st.integers(0, 2**32 - 1))
+    speed = draw(st.floats(0.1, 50.0))
+    return diag, m, n, rank, seed, speed
+
+
+@settings(max_examples=40, deadline=None)
+@given(args=rotating_flow_args(), data=st.data())
+def test_memoized_rotating_field_matches_closed_form(args, data):
+    diag, m, n, _, seed, speed = args
+    pool = data.draw(st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=40))
+    times = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+    flow = rotating_flow(diag, m=m, n=n, seed=seed, y_dependent=False, speed=speed)
+    fresh = rotating_flow(diag, m=m, n=n, seed=seed, speed=speed)
+    rng = np.random.default_rng(seed)
+    w1 = speed * lowrank._skew_rotation_generator(rng, m)
+    w2 = speed * lowrank._skew_rotation_generator(rng, n)
+    for t in times:
+        a = fresh.exact_A(t)
+        assert np.array_equal(flow.eval_F(t, np.zeros((m, n))), w1 @ a + a @ w2.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(args=rotating_flow_args(), t=st.floats(-5.0, 5.0, allow_nan=False))
+def test_known_spectrum_gives_the_svd_best_error(args, t):
+    diag, m, n, rank, seed, speed = args
+    flow = rotating_flow(diag, m=m, n=n, seed=seed, y_dependent=False, speed=speed)
+    y = factorize(flow.exact_A(t), rank)
+    known = lowrank._record(flow, y, t).best_error
+    from_svd = lowrank._record(replace(flow, exact_sigma=None), y, t).best_error
+    assert abs(known - from_svd) <= 1e-12 * np.linalg.norm(diag)
 
 
 # ---------------------------------------------------------------- gauge ODEs
