@@ -23,15 +23,20 @@ def central_jacobian(f, x, step=1e-6):
 
     ``step`` must lie in [1e-8, 1e-4]: below that the quotient is all
     roundoff, above it the truncation error drowns the quantities these
-    Jacobians feed (symplecticity defects of order h^2).
+    Jacobians feed (symplecticity defects of order h^2).  ``f`` is called
+    exactly 2 * x.size times, so ``x`` must not be empty.
     """
     if not 1e-8 <= step <= 1e-4:
         raise ContractViolationError(f"fd step must be in [1e-8, 1e-4], got {step}")
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(f(x), dtype=float)
-    jac = np.zeros((f0.size, x.size))
+    if x.size == 0:
+        raise ContractViolationError("central_jacobian needs a non-empty x")
+    jac = None
     for i in range(x.size):
         e = np.zeros(x.size)
         e[i] = step
-        jac[:, i] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * step)
+        column = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * step)
+        if jac is None:
+            jac = np.zeros((column.size, x.size))
+        jac[:, i] = column
     return jac

@@ -17,12 +17,19 @@ has tiny singular values.  A naive integrator of the gauge ODEs (whose
 right-hand side does contain S^{-1}) is included for contrast only.
 
 Each subflow is solved by the classical explicit 4-stage order-4 method
-with a configurable number of substeps.
+with a configurable number of substeps.  When F does not depend on Y the
+splitting is exact in increment form (Lubich & Oseledets, BIT 2014):
+with G the integral of F over the interval, each subflow is one update
+
+    K1 = K0 + G V0,    S1 = S0 - U1^T G V0,    L1 = L0 + G^T U1.
+
+A flow that knows such a G sets ``MatrixFlow.increment``; it returns the
+composite-Simpson sum that RK4 computes for a Y-independent field, so the
+increment form agrees with the RK4 path to roundoff.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -38,9 +45,6 @@ from .errors import (
 from .series import SeriesTable
 
 _ORTHO_TOL = 1e-10
-# Entries of the memo of a Y-independent rotating field: one step sweeps
-# 2 * substeps + 1 distinct times, 21 at the default substeps = 10.
-_FIELD_CACHE_SIZE = 32
 
 
 @dataclass
@@ -120,13 +124,16 @@ def curvature_proxy(y: LowRankFactors) -> float:
 class MatrixFlow:
     """Right-hand side F of dY/dt = F(t, Y) plus optional exact solution.
 
-    ``eval_F(t, y_full) -> array`` of the same shape; callers must not
-    write to the array it returns, which may be shared between calls.
-    ``exact_A(t)``, if given, returns the exact solution matrix for error
-    measurement.  ``exact_sigma``, if given, holds the singular values of
-    ``exact_A(t)`` in descending order, all min(m, n) of them; it is only
-    valid for a family whose spectrum is the same for every t, and lets
-    records skip an SVD of ``exact_A(t)``.
+    ``eval_F(t, y_full) -> array`` of the same shape.  ``exact_A(t)``, if
+    given, returns the exact solution matrix for error measurement.
+    ``exact_sigma``, if given, holds the singular values of ``exact_A(t)``
+    in descending order, all min(m, n) of them; it is only valid for a
+    family whose spectrum is the same for every t, and lets records skip
+    an SVD of ``exact_A(t)``.  ``increment(t, span, substeps)``, if given,
+    returns sum_i w_i F(t_i) over the nodes t_i and weights w_i of
+    composite Simpson on ``substeps`` panels of [t, t + span]
+    (``_simpson_rule``); only a flow whose F does not depend on Y may set
+    it, and the splitting steps then use it in place of RK4 on ``eval_F``.
     """
 
     shape: tuple
@@ -134,6 +141,7 @@ class MatrixFlow:
     exact_A: Optional[Callable] = None
     name: str = "flow"
     exact_sigma: Optional[np.ndarray] = None
+    increment: Optional[Callable] = None
 
 
 def _rk4(f, t0, span, y0, substeps):
@@ -151,8 +159,25 @@ def _rk4(f, t0, span, y0, substeps):
     return y
 
 
+def _simpson_rule(t, span, substeps):
+    """Nodes and weights of composite Simpson over [t, t + span].
+
+    ``substeps`` panels, 2 * substeps + 1 nodes.  For a right-hand side
+    that does not depend on the state, ``substeps`` steps of ``_rk4`` add
+    up to sum_i weights[i] * f(times[i]) in exact arithmetic.
+    """
+    h = span / substeps
+    times = t + (0.5 * h) * np.arange(2 * substeps + 1)
+    weights = np.full(2 * substeps + 1, h / 3.0)
+    weights[1::2] = 2.0 * h / 3.0
+    weights[0] = weights[-1] = h / 6.0
+    return times, weights
+
+
 def _check_columns(mat, substep):
     norms = np.linalg.norm(mat, axis=0)
+    if not np.all(np.isfinite(norms)):
+        raise SolverDivergenceError(f"{substep} substep overflowed: its result is not finite")
     if np.any(norms == 0.0):
         raise RankDeficiencyError(
             f"rank collapse in {substep} substep: column(s) "
@@ -168,26 +193,63 @@ def _validate_step_args(flow, y, substeps):
         raise ContractViolationError(f"substeps must be >= 1, got {substeps}")
 
 
+def _subflow_solver(flow, t, span, substeps):
+    """Solver of the subflows over [t, t + span].
+
+    ``solve(y0, lift, project)`` integrates dy/dt = project(F(tau, lift(y)))
+    from y0, with ``project`` linear.  With ``flow.increment`` that is
+    y0 + project(G) for one G shared by every subflow of the interval;
+    otherwise it is RK4 on ``flow.eval_F``.
+    """
+    if flow.increment is not None:
+        g = flow.increment(t, span, substeps)
+        return lambda y0, lift, project: y0 + project(g)
+
+    def solve(y0, lift, project):
+        return _rk4(lambda tt, yy: project(flow.eval_F(tt, lift(yy))), t, span, y0, substeps)
+
+    return solve
+
+
+def _k_substep(solve, k0, v):
+    """dK/dt = F(t, K V^T) V from K0 = U0 S0; returns (U1, S_hat) = qr(K1)."""
+    k = solve(k0, lambda kk: kk @ v.T, lambda f: f @ v)
+    _check_columns(k, "K")
+    return qr_thin(k)
+
+
+def _s_substep(solve, u, s0, v):
+    """dS/dt = -U^T F(t, U S V^T) V, the backward-in-time core substep."""
+    return solve(s0, lambda ss: u @ ss @ v.T, lambda f: -(u.T @ f @ v))
+
+
+def _l_substep(solve, u, l0):
+    """dL/dt = F(t, U L^T)^T U from L0 = V0 S0^T; returns (V1, S^T) = qr(L1)."""
+    ell = solve(l0, lambda ll: u @ ll.T, lambda f: f.T @ u)
+    _check_columns(ell, "L")
+    return qr_thin(ell)
+
+
+def _ksl(solve, y):
+    u1, s_hat = _k_substep(solve, y.u @ y.s, y.v)
+    s1 = _s_substep(solve, u1, s_hat, y.v)
+    v1, s_t = _l_substep(solve, u1, y.v @ s1.T)
+    return LowRankFactors(u=u1, s=s_t.T, v=v1)
+
+
+def _lsk(solve, y):
+    v1, s_t = _l_substep(solve, y.u, y.v @ y.s.T)
+    s1 = _s_substep(solve, y.u, s_t.T, v1)
+    u1, s2 = _k_substep(solve, y.u @ s1, v1)
+    return LowRankFactors(u=u1, s=s2, v=v1)
+
+
 def ksl_step(flow: MatrixFlow, y: LowRankFactors, t, h, substeps=10) -> LowRankFactors:
     """One splitting step of size h starting at time t (K, then S, then L)."""
     _validate_step_args(flow, y, substeps)
     if h == 0.0:
         return LowRankFactors(u=y.u.copy(), s=y.s.copy(), v=y.v.copy())
-    u0, s0, v0 = y.u, y.s, y.v
-    k = _rk4(lambda tt, kk: flow.eval_F(tt, kk @ v0.T) @ v0, t, h, u0 @ s0, substeps)
-    _check_columns(k, "K")
-    u1, s_hat = qr_thin(k)
-    s1 = _rk4(
-        lambda tt, ss: -(u1.T @ flow.eval_F(tt, u1 @ ss @ v0.T) @ v0),
-        t, h, s_hat, substeps,
-    )
-    ell = _rk4(
-        lambda tt, ll: flow.eval_F(tt, u1 @ ll.T).T @ u1,
-        t, h, v0 @ s1.T, substeps,
-    )
-    _check_columns(ell, "L")
-    v1, s_t = qr_thin(ell)
-    return LowRankFactors(u=u1, s=s_t.T, v=v1)
+    return _ksl(_subflow_solver(flow, t, h, substeps), y)
 
 
 def strang_step(flow: MatrixFlow, y: LowRankFactors, t, h, substeps=10) -> LowRankFactors:
@@ -197,23 +259,8 @@ def strang_step(flow: MatrixFlow, y: LowRankFactors, t, h, substeps=10) -> LowRa
     if h == 0.0:
         return LowRankFactors(u=y.u.copy(), s=y.s.copy(), v=y.v.copy())
     half = 0.5 * h
-    mid = ksl_step(flow, y, t, half, substeps)
-    u0, s0, v0 = mid.u, mid.s, mid.v
-    t2 = t + half
-    ell = _rk4(
-        lambda tt, ll: flow.eval_F(tt, u0 @ ll.T).T @ u0,
-        t2, half, v0 @ s0.T, substeps,
-    )
-    _check_columns(ell, "L")
-    v1, s_t = qr_thin(ell)
-    s1 = _rk4(
-        lambda tt, ss: -(u0.T @ flow.eval_F(tt, u0 @ ss @ v1.T) @ v1),
-        t2, half, s_t.T, substeps,
-    )
-    k = _rk4(lambda tt, kk: flow.eval_F(tt, kk @ v1.T) @ v1, t2, half, u0 @ s1, substeps)
-    _check_columns(k, "K")
-    u1, s2 = qr_thin(k)
-    return LowRankFactors(u=u1, s=s2, v=v1)
+    mid = _ksl(_subflow_solver(flow, t, half, substeps), y)
+    return _lsk(_subflow_solver(flow, t + half, half, substeps), mid)
 
 
 _STEPPERS = {"lie": ksl_step, "strang": strang_step}
@@ -253,7 +300,9 @@ def integrate_lowrank(flow, y0, t0, t_end, h, method="lie", substeps=10, record_
     """Fixed-step rank-constrained run; returns a list of LowRankRecord.
 
     round((t_end - t0) / h) steps; the initial and final states are
-    always recorded.  t_end == t0 yields the single initial record.
+    always recorded.  t_end == t0 yields the single initial record.  If
+    step k overflows, the raised SolverDivergenceError carries
+    ``step_index = k`` and the records collected so far in ``records``.
     """
     try:
         stepper = _STEPPERS[method]
@@ -272,7 +321,12 @@ def integrate_lowrank(flow, y0, t0, t_end, h, method="lie", substeps=10, record_
     y = y0
     records = [_record(flow, y, t0)]
     for k in range(1, n_steps + 1):
-        y = stepper(flow, y, t0 + (k - 1) * h, h, substeps=substeps)
+        try:
+            y = stepper(flow, y, t0 + (k - 1) * h, h, substeps=substeps)
+        except SolverDivergenceError as exc:
+            exc.step_index = k
+            exc.records = records
+            raise
         if k % record_every == 0 or k == n_steps:
             records.append(_record(flow, y, t0 + k * h))
     return records
@@ -358,26 +412,33 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
                   speed=1.0) -> MatrixFlow:
     """Flow whose exact solution is A(t) = e^{t W1} D e^{t W2}^T.
 
-    ``diag_values`` fills the leading diagonal of the m-by-n matrix D;
-    W1, W2 are fixed random skew-symmetric matrices with spectral norm
-    ``speed`` drawn from a seeded generator, so the singular values of
-    A(t) are the diagonal values for every t.  With ``y_dependent`` the
-    right-hand side is F(t, Y) = W1 Y + Y W2^T (A solves this exactly
-    from A(0) = D); otherwise F(t, Y) = dA/dt evaluated from the closed
-    form, independent of Y.
+    ``diag_values`` fills the leading diagonal of the m-by-n matrix D
+    (m, n >= 2); W1, W2 are fixed random skew-symmetric matrices with
+    spectral norm ``speed`` drawn from a seeded generator, so the singular
+    values of A(t) are the diagonal values for every t.  With
+    ``y_dependent`` the right-hand side is F(t, Y) = W1 Y + Y W2^T (A
+    solves this exactly from A(0) = D); otherwise F(t, Y) = dA/dt
+    evaluated from the closed form, independent of Y, and the flow sets
+    ``increment``.
 
-    Only the Y-independent field is memoized: it keeps the last 32
-    distinct ``float(t)`` values and returns read-only arrays.  One
-    splitting step evaluates it at 2 * substeps + 1 times, reused across
-    its K, S and L substeps and the shared RK4 midpoint; with substeps
-    > 15 one step's times no longer fit, so the cache still serves the
-    shared midpoints but recomputes across substeps.  ``exact_sigma`` is
-    set to the sorted |diagonal values|, padded with zeros to min(m, n).
+    Everything is evaluated in the eigenbases of the generators: with
+    i W = V Theta V^H, e^k(t) = exp(-i t theta_k) and M = V1^H D conj(V2),
+
+        sum_j w_j A(t_j) = Re(V1 [((w o E1)^T E2) o M] V2^T),
+
+    where row j of E1, E2 holds e(t_j) and o is the entrywise product.
+    ``exact_A(t)`` is the one-node sum, F(t) = W1 A(t) + A(t) W2^T, and
+    ``increment`` is W1 A_w + A_w W2^T for the composite-Simpson sum A_w:
+    two complex matrix products per interval, equal to what RK4 on F
+    computes up to roundoff.  ``exact_sigma`` is set to the sorted
+    |diagonal values|, padded with zeros to min(m, n).
     """
     d_vals = np.asarray(diag_values, dtype=float)
     r0 = d_vals.size
     m = int(m) if m is not None else r0
     n = int(n) if n is not None else r0
+    if min(m, n) < 2:
+        raise ContractViolationError(f"rotating_flow needs m, n >= 2, got {m}x{n}")
     if r0 > min(m, n):
         raise ContractViolationError(f"{r0} diagonal values do not fit a {m}x{n} matrix")
     d = np.zeros((m, n))
@@ -388,33 +449,33 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
 
     theta1, vec1 = np.linalg.eigh(1j * w1)
     theta2, vec2 = np.linalg.eigh(1j * w2)
+    core = vec1.conj().T @ d @ vec2.conj()
+    vec2_t = vec2.T
+    one = np.ones(1)
 
-    def rot1(t):
-        return np.real(vec1 @ (np.exp(-1j * t * theta1)[:, None] * vec1.conj().T))
+    def weighted_a(times, weights):
+        e1 = np.exp(-1j * np.multiply.outer(times, theta1))
+        e2 = np.exp(-1j * np.multiply.outer(times, theta2))
+        return np.real(vec1 @ (((weights[:, None] * e1).T @ e2) * core) @ vec2_t)
 
-    def rot2(t):
-        return np.real(vec2 @ (np.exp(-1j * t * theta2)[:, None] * vec2.conj().T))
+    def weighted_f(times, weights):
+        a = weighted_a(times, weights)
+        return w1 @ a + a @ w2.T
 
     def exact_a(t):
-        return rot1(t) @ d @ rot2(t).T
+        return weighted_a(np.array([float(t)]), one)
 
+    increment = None
     if y_dependent:
         eval_f = lambda t, y: w1 @ y + y @ w2.T
     else:
-        @functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
-        def field(t):
-            a = exact_a(t)
-            f = w1 @ a + a @ w2.T
-            f.flags.writeable = False
-            return f
-
-        def eval_f(t, y):
-            return field(float(t))
+        eval_f = lambda t, y: weighted_f(np.array([float(t)]), one)
+        increment = lambda t, span, substeps: weighted_f(*_simpson_rule(t, span, substeps))
 
     sigma = np.zeros(min(m, n))
     sigma[:r0] = np.sort(np.abs(d_vals))[::-1]
     return MatrixFlow(shape=(m, n), eval_F=eval_f, exact_A=exact_a, name="rotating",
-                      exact_sigma=sigma)
+                      exact_sigma=sigma, increment=increment)
 
 
 def robustness_benchmark(

@@ -1,8 +1,15 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from geomint import fdtools
+
+# Property tests draw the same examples on every run (derandomize also turns
+# off the example database) and have no per-example deadline; this profile
+# is loaded by default.
+settings.register_profile("deterministic", deadline=None, derandomize=True)
+settings.load_profile("deterministic")
 
 
 def gradient_max_relerr(sys, states, step=1e-6):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geomint import models, symplectic
+from geomint import fdtools, models, symplectic
 from geomint.errors import ContractViolationError, SolverDivergenceError
 from geomint.models import PhaseState
 from geomint.symplectic import (
@@ -185,6 +185,23 @@ def test_symmetry_defect_explicit_euler_positive():
 
 def test_symmetry_defect_zero_step():
     assert symmetry_defect(HARMONIC, "explicit-euler", cfg(0.0), UNIT) == 0.0
+
+
+def test_central_jacobian_evaluates_only_the_differences():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.array([np.sin(x[0]) * x[1], x[1] * x[2]])
+
+    x = np.array([0.3, -1.2, 2.0])
+    jac = fdtools.central_jacobian(f, x, step=1e-6)
+    assert len(calls) == 2 * x.size
+    exact = np.array([[np.cos(0.3) * -1.2, np.sin(0.3), 0.0], [0.0, 2.0, -1.2]])
+    assert jac.shape == (2, 3)
+    assert np.max(np.abs(jac - exact)) <= 1e-8
+    with pytest.raises(ContractViolationError):
+        fdtools.central_jacobian(f, np.zeros(0))
 
 
 # ------------------------------------------------------------ first integrals
