@@ -23,7 +23,9 @@ KEPLER_METHODS = (
     "symplectic-euler-pq",
     "stormer-verlet",
 )
-LOWRANK_METHODS = ("ksl", "ksl-strang")
+# Method id -> integrate_lowrank method.
+LOWRANK_STEPPERS = {"ksl": "lie", "ksl-strang": "strang"}
+LOWRANK_METHODS = tuple(LOWRANK_STEPPERS)
 _REFERENCE_REFINEMENT = 20
 
 
@@ -78,7 +80,7 @@ def _lowrank_errors(method, h_values, t_end, substeps, seed):
     y0 = lowrank.factorize(np.diag(d_vals), 4)
     h_ref = h_values[-1] / _REFERENCE_REFINEMENT
     reference = _lowrank_final(flow, y0, "strang", h_ref, t_end, substeps)
-    key = {"ksl": "lie", "ksl-strang": "strang"}[method]
+    key = LOWRANK_STEPPERS[method]
     return [
         float(np.linalg.norm(_lowrank_final(flow, y0, key, h, t_end, substeps) - reference))
         for h in h_values

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .. import lowrank, oscillatory, symplectic
-from ..errors import ContractViolationError, InadmissibleStepError, SolverDivergenceError
+from ..errors import ContractViolationError, SolverDivergenceError
 from ..models import (
     make_fpu_chain,
     make_kepler,
@@ -24,12 +24,12 @@ from ..models import (
 )
 from ..models.simple import angular_momentum_2d
 from ..models.solar import heliocentric_distances
-from ..models.systems import oscillatory_energies
+from ..models.systems import oscillatory_energies  # noqa: F401 -- perfbench's tracer patches this name
 from ..series import SeriesTable
-from .convergence import KEPLER_METHODS, LOWRANK_METHODS, convergence_table, observed_order
+from .convergence import (KEPLER_METHODS, LOWRANK_METHODS, LOWRANK_STEPPERS, convergence_table,
+                          observed_order)
 
 TRIG_METHODS = tuple(sorted(oscillatory.FILTERS))
-RANK_METHODS = ("ksl", "ksl-strang")
 
 
 @dataclass
@@ -185,24 +185,8 @@ def _run_fpu_resonance_scan(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_klein_gordon(cfg: ExperimentConfig) -> ExperimentResult:
     n_modes = cfg.params["modes"]
     sys, y0 = make_klein_gordon(n_modes, cfg.params["rho"], cfg.params["eps"])
-    report = oscillatory.resonance_report(sys, cfg.h)
-    if not report.admissible:
-        raise InadmissibleStepError(
-            f"step size {cfg.h} is resonant for the spectral truncation", report=report
-        )
-    records = oscillatory.integrate_trigonometric(
-        sys, oscillatory.FILTERS[cfg.method](), cfg.h, y0, cfg.t_end,
-        record_every=cfg.record_every,
-    )
-    columns = ["t"] + [f"E_{j}" for j in range(n_modes + 1)] + ["H_omega", "H_slow", "H", "H_rel_drift"]
-    table = SeriesTable(columns)
-    h0 = None
-    for t, state in records:
-        e = oscillatory_energies(sys, state)
-        if h0 is None:
-            h0 = e.h_total
-        table.append([t, *e.mode_energies, e.h_omega, e.h_slow, e.h_total,
-                      (e.h_total - h0) / abs(h0)])
+    table = oscillatory.run_screened(sys, y0, oscillatory.FILTERS[cfg.method](), cfg.h,
+                                     cfg.t_end, record_every=cfg.record_every)
     slope = mode_decay_slope(table, len(table) - 1, j_max=min(10, n_modes))
     summary = {
         "steps": int(round(cfg.t_end / cfg.h)),
@@ -223,7 +207,7 @@ def mode_decay_slope(table: SeriesTable, row_index, j_min=2, j_max=10) -> float:
 
 
 def _run_lowrank_exactness(cfg: ExperimentConfig) -> ExperimentResult:
-    method = {"ksl": "lie", "ksl-strang": "strang"}[cfg.method]
+    method = LOWRANK_STEPPERS[cfg.method]
     substeps = cfg.params["substeps"]
     runs = {}
     for label, diag in (("rank1", [1.0]), ("rank3", [1.0, 0.5, 0.25])):
@@ -343,14 +327,14 @@ EXPERIMENTS = {
     ),
     "lowrank-exactness": ExperimentSpec(
         runner=_run_lowrank_exactness,
-        methods=RANK_METHODS,
+        methods=LOWRANK_METHODS,
         defaults={"method": "ksl", "h": 0.05, "t_end": 1.0, "record_every": 1},
         params={"substeps": 10},
         description="splitting integrator on exactly low-rank solution families",
     ),
     "lowrank-robustness": ExperimentSpec(
         runner=_run_lowrank_robustness,
-        methods=RANK_METHODS,
+        methods=LOWRANK_METHODS,
         defaults={"method": "ksl", "h": 0.01, "t_end": 1.0, "record_every": 1},
         params={"rank": 8, "floors": "10,20,30,40", "tail_scale": 1.0, "substeps": 10,
                 "speed": 40.0},

@@ -296,6 +296,18 @@ def _record(flow, y, t):
     return LowRankRecord(t=t, factors=y, sigma=sigma, curvature=curvature, error=error, best_error=best)
 
 
+def _step_count(t0, t_end, h):
+    """round((t_end - t0) / h); refuses h <= 0, t_end < t0 and zero steps on a nonempty interval."""
+    if h <= 0.0:
+        raise ContractViolationError(f"h must be positive, got {h}")
+    if t_end < t0:
+        raise ContractViolationError(f"t_end {t_end} is before t0 {t0}")
+    n_steps = int(round((t_end - t0) / h))
+    if n_steps == 0 and t_end != t0:
+        raise ContractViolationError(f"h {h} too large for the interval [{t0}, {t_end}]")
+    return n_steps
+
+
 def integrate_lowrank(flow, y0, t0, t_end, h, method="lie", substeps=10, record_every=1):
     """Fixed-step rank-constrained run; returns a list of LowRankRecord.
 
@@ -308,16 +320,10 @@ def integrate_lowrank(flow, y0, t0, t_end, h, method="lie", substeps=10, record_
         stepper = _STEPPERS[method]
     except KeyError:
         raise ContractViolationError(f"method must be one of {sorted(_STEPPERS)}, got {method!r}") from None
-    if h <= 0.0:
-        raise ContractViolationError(f"h must be positive, got {h}")
-    if t_end < t0:
-        raise ContractViolationError(f"t_end {t_end} is before t0 {t0}")
+    n_steps = _step_count(t0, t_end, h)
     record_every = int(record_every)
     if record_every < 1:
         raise ContractViolationError(f"record_every must be >= 1, got {record_every}")
-    n_steps = int(round((t_end - t0) / h))
-    if n_steps == 0 and t_end != t0:
-        raise ContractViolationError(f"h {h} too large for the interval [{t0}, {t_end}]")
     y = y0
     records = [_record(flow, y, t0)]
     for k in range(1, n_steps + 1):
@@ -332,7 +338,7 @@ def integrate_lowrank(flow, y0, t0, t_end, h, method="lie", substeps=10, record_
     return records
 
 
-def naive_gauge_rhs(flow, t, y: LowRankFactors):
+def naive_gauge_rhs(flow, t, u, s, v):
     """Right-hand side of the factor ODEs in the standard gauge.
 
     With the gauge U^T dU = 0, V^T dV = 0 the factors obey
@@ -344,7 +350,6 @@ def naive_gauge_rhs(flow, t, y: LowRankFactors):
     This is the textbook form and it contains S^{-1}: it is used by the
     contrast integrator only, never by the splitting steps.
     """
-    u, s, v = y.u, y.s, y.v
     f = flow.eval_F(t, u @ s @ v.T)
     fv = f @ v
     ftu = f.T @ u
@@ -355,48 +360,38 @@ def naive_gauge_rhs(flow, t, y: LowRankFactors):
 
 
 def integrate_naive_gauge(flow, y0, t0, t_end, h):
-    """Integrate the gauge ODEs with the classical order-4 method.
+    """Integrate the gauge ODEs with ``_rk4``, one substep per step, and
+    return the dense U S V^T at t_end (U and V drift off orthonormality).
 
     Raises SolverDivergenceError on overflow or a singular core, which
     for ill-conditioned S is the expected outcome.
     """
-    if h <= 0.0:
-        raise ContractViolationError(f"h must be positive, got {h}")
-    n_steps = int(round((t_end - t0) / h))
-    u, s, v = y0.u.copy(), y0.s.copy(), y0.v.copy()
-    t = t0
+    n_steps = _step_count(t0, t_end, h)
+    (m, n), r = y0.shape, y0.rank
+    pack = lambda mats: np.concatenate([a.ravel() for a in mats])
+
+    def unpack(x):
+        u, s, v = np.split(x, (m * r, m * r + r * r))
+        return u.reshape(m, r), s.reshape(r, r), v.reshape(n, r)
+
+    rhs = lambda t, x: pack(naive_gauge_rhs(flow, t, *unpack(x)))
+    x = pack((y0.u, y0.s, y0.v))
     with np.errstate(all="ignore"):
         for k in range(1, n_steps + 1):
             try:
-                slopes = []
-                for c, point in ((0.0, None), (0.5, 0), (0.5, 1), (1.0, 2)):
-                    if point is None:
-                        uu, ss, vv = u, s, v
-                    else:
-                        du, ds, dv = slopes[point]
-                        uu = u + c * h * du
-                        ss = s + c * h * ds
-                        vv = v + c * h * dv
-                    yk = LowRankFactors.__new__(LowRankFactors)
-                    yk.u, yk.s, yk.v = uu, ss, vv
-                    slopes.append(naive_gauge_rhs(flow, t + c * h, yk))
+                x = _rk4(rhs, t0 + (k - 1) * h, h, x, 1)
             except np.linalg.LinAlgError as exc:
                 raise SolverDivergenceError(
                     f"naive gauge integration hit a singular core at step {k}",
                     step_index=k,
                 ) from exc
-            u = u + (h / 6.0) * (slopes[0][0] + 2 * slopes[1][0] + 2 * slopes[2][0] + slopes[3][0])
-            s = s + (h / 6.0) * (slopes[0][1] + 2 * slopes[1][1] + 2 * slopes[2][1] + slopes[3][1])
-            v = v + (h / 6.0) * (slopes[0][2] + 2 * slopes[1][2] + 2 * slopes[2][2] + slopes[3][2])
-            t = t0 + k * h
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
+            if not np.all(np.isfinite(x)):
                 raise SolverDivergenceError(
                     f"naive gauge integration overflowed at step {k}",
                     step_index=k,
                 )
-    result = LowRankFactors.__new__(LowRankFactors)
-    result.u, result.s, result.v = u, s, v
-    return result
+    u, s, v = unpack(x)
+    return u @ s @ v.T
 
 
 def _skew_rotation_generator(rng, n):
@@ -528,7 +523,7 @@ def robustness_benchmark(
         best = float(np.sqrt(np.sum(d_vals[rank:] ** 2)))
         try:
             naive = integrate_naive_gauge(flow, y0, 0.0, t_end, h)
-            naive_error = float(np.linalg.norm(to_full(naive) - flow.exact_A(t_end)))
+            naive_error = float(np.linalg.norm(naive - flow.exact_A(t_end)))
             if not np.isfinite(naive_error):
                 naive_error = np.inf
         except SolverDivergenceError:

@@ -14,7 +14,6 @@ from .solar import (
 from .state import PhaseState
 from .systems import (
     EnergyBreakdown,
-    HamiltonianSystem,
     OscillatorySystem,
     SeparableSystem,
     oscillatory_energies,
@@ -25,7 +24,6 @@ __all__ = [
     "DATA_DIR_ENV",
     "EnergyBreakdown",
     "GRAVITATIONAL_CONSTANT",
-    "HamiltonianSystem",
     "NBodyData",
     "OscillatorySystem",
     "PhaseState",

@@ -40,9 +40,3 @@ class PhaseState:
     def flat(self):
         """Concatenated (p, q) vector of length 2d."""
         return np.concatenate([self.p, self.q])
-
-    @staticmethod
-    def from_flat(y):
-        y = np.asarray(y, dtype=float)
-        d = y.size // 2
-        return PhaseState(p=y[:d].copy(), q=y[d:].copy())

@@ -1,43 +1,24 @@
-"""System types: generic Hamiltonian, separable, and oscillatory.
+"""System types: separable and oscillatory.
 
-A Hamiltonian system is anything exposing ``dim``, ``eval_H(p, q)``,
-``grad_p(p, q)`` and ``grad_q(p, q)``; the canonical equations are then
+A SeparableSystem has H(p, q) = p^T M^{-1} p / 2 + V(q) and exposes
+``dim``, ``eval_H(p, q)``, ``grad_p(p, q)`` and ``grad_q(p, q)``; the
+canonical equations are then
 
-    dp/dt = -grad_q H,    dq/dt = +grad_p H.
+    dp/dt = -grad_q H = -grad V(q),    dq/dt = +grad_p H = M^{-1} p.
 
-SeparableSystem specializes to H = p^T M^{-1} p / 2 + V(q), which is what
-lets the mixed Euler variants and the three-stage method run explicitly.
-OscillatorySystem further specializes to unit mass with a quadratic
-frequency part plus a smooth coupling potential U.
+Separability is what lets the mixed Euler variants and the three-stage
+method run explicitly.  OscillatorySystem further specializes to unit
+mass with a quadratic frequency part plus a smooth coupling potential U.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ..errors import ContractViolationError
-
-
-@dataclass
-class HamiltonianSystem:
-    """Generic smooth Hamiltonian given by callables.
-
-    ``eval_H(p, q) -> float``; ``grad_p`` and ``grad_q`` return arrays of
-    length ``dim`` (the gradients of H with respect to p and q).
-    """
-
-    dim: int
-    eval_H: Callable
-    grad_p: Callable
-    grad_q: Callable
-    name: str = "hamiltonian"
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ContractViolationError(f"dim must be positive, got {self.dim}")
 
 
 @dataclass

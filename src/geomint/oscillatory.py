@@ -278,35 +278,45 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
     )
 
 
-def run_energy_exchange_experiment(m, omega, h, t_end, filters=None, record_every=None) -> SeriesTable:
-    """Integrate the stiff spring chain and record its energy exchange.
-
-    Refuses inadmissible step sizes (raising InadmissibleStepError with
-    the report attached).  The returned table has columns t, E_1..E_m
-    (fast-block energies), H_omega, H_slow, H, and H_rel_drift.
-    """
-    sys, y0 = make_fpu_chain(m, omega)
-    report = resonance_report(sys, h)
-    if not report.admissible:
-        raise InadmissibleStepError(
-            f"step size {h} is resonant for omega = {omega} "
-            f"(min distance {report.freq_distances.min():.3g} < sqrt(h) = {report.threshold:.3g})",
-            report=report,
-        )
-    if filters is None:
-        filters = mollified_impulse_filter()
-    n_steps = int(round(t_end / h))
-    if record_every is None:
-        record_every = max(1, n_steps // 2000)
-    records = integrate_trigonometric(sys, filters, h, y0, t_end, record_every=record_every)
-    columns = ["t"] + [f"E_{j}" for j in range(1, m + 1)] + ["H_omega", "H_slow", "H", "H_rel_drift"]
-    table = SeriesTable(columns)
+def energy_table(sys: OscillatorySystem, records) -> SeriesTable:
+    """Energies along integrate() records: columns t, E_j for every
+    positive-frequency block j, H_omega, H_slow, H and H_rel_drift
+    (relative to H at the first record)."""
+    if not records:
+        raise ContractViolationError("records must not be empty")
+    blocks = np.flatnonzero(sys.frequencies > 0.0)
+    table = SeriesTable(["t", *(f"E_{j}" for j in blocks), "H_omega", "H_slow", "H", "H_rel_drift"])
     h0 = None
     for t, state in records:
         e = oscillatory_energies(sys, state)
         if h0 is None:
             h0 = e.h_total
-        row = [t] + [e.mode_energies[j] for j in range(1, m + 1)]
-        row += [e.h_omega, e.h_slow, e.h_total, (e.h_total - h0) / abs(h0)]
-        table.append(row)
+        table.append([t, *e.mode_energies[blocks], e.h_omega, e.h_slow, e.h_total,
+                      (e.h_total - h0) / abs(h0)])
     return table
+
+
+def run_screened(sys, y0, filters, h, t_end, record_every=None) -> SeriesTable:
+    """energy_table of a filtered run, after refusing an inadmissible h
+    (InadmissibleStepError with the resonance report attached).
+    ``record_every`` defaults to max(1, steps // 2000)."""
+    report = resonance_report(sys, h)
+    if not report.admissible:
+        raise InadmissibleStepError(
+            f"step size {h} is resonant for {sys.name} "
+            f"(min distance {report.freq_distances.min():.3g} < sqrt(h) = {report.threshold:.3g})",
+            report=report,
+        )
+    if record_every is None:
+        record_every = max(1, int(round(t_end / h)) // 2000)
+    records = integrate_trigonometric(sys, filters, h, y0, t_end, record_every=record_every)
+    return energy_table(sys, records)
+
+
+def run_energy_exchange_experiment(m, omega, h, t_end, filters=None, record_every=None) -> SeriesTable:
+    """run_screened on the stiff spring chain: its energy_table has columns
+    t, E_1..E_m (fast-block energies), H_omega, H_slow, H and H_rel_drift."""
+    sys, y0 = make_fpu_chain(m, omega)
+    if filters is None:
+        filters = mollified_impulse_filter()
+    return run_screened(sys, y0, filters, h, t_end, record_every)

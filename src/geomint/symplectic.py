@@ -1,17 +1,17 @@
-"""Fixed-step one-step methods for canonical Hamiltonian systems.
+"""Fixed-step one-step methods for separable Hamiltonian systems.
 
-Four Euler variants, indexed by (alpha, beta) in {0, 1}^2, all read
+For H(p, q) = p^T M^{-1} p / 2 + V(q), four Euler variants, indexed by
+(alpha, beta) in {0, 1}^2, all read
 
-    p1 = p - h * grad_q H(p_{alpha}, q_{beta})
-    q1 = q + h * grad_p H(p_{alpha}, q_{beta})
+    p1 = p - h * grad V(q_{beta})
+    q1 = q + h * M^{-1} p_{alpha}
 
 where the subscript 0 picks the old value and 1 the new one.  (0,0) is
 the explicit method, (1,1) the implicit one, and the two mixed variants
 are the symplectic Euler methods.  The three-stage method (half kick,
-full drift, half kick) is their symmetric composition.  For separable
-Hamiltonians every variant except (1,1) runs explicitly; otherwise the
-implicit stages are solved by fixed-point iteration or by a
-finite-difference Newton method.
+full drift, half kick) is their symmetric composition.  Every variant
+except (1,1) runs explicitly; its position equation is solved by
+fixed-point iteration or by a finite-difference Newton method.
 
 Diagnostics measure, by centered finite differences of the step map,
 how well a method preserves the symplectic two-form and whether it is
@@ -20,7 +20,8 @@ symmetric under time reversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -141,74 +142,43 @@ def _solve(cfg, map_fn, residual_fn, x0):
     return _newton(residual_fn, x0, cfg.solver_tol, cfg.solver_max_iter)
 
 
-def _euler_kernel(sys, variant, cfg, h, p, q):
+def _require_separable(sys):
+    if not isinstance(sys, SeparableSystem):
+        raise ContractViolationError(f"steppers need a SeparableSystem, got {type(sys).__name__}")
+
+
+def _euler_kernel(variant, sys, cfg, h, p, q):
     a, b = variant.alpha, variant.beta
-    separable = isinstance(sys, SeparableSystem)
-    if separable:
-        if a == 0 and b == 0:
-            return p - h * sys.grad_V(q), q + h * (sys.mass_inverse @ p)
-        if a == 1 and b == 0:
-            p1 = p - h * sys.grad_V(q)
-            return p1, q + h * (sys.mass_inverse @ p1)
-        if a == 0 and b == 1:
-            q1 = q + h * (sys.mass_inverse @ p)
-            return p - h * sys.grad_V(q1), q1
-        # (1, 1): only the position equation is genuinely implicit.
-        minv = sys.mass_inverse
-
-        def q_map(q1):
-            return q + h * (minv @ (p - h * sys.grad_V(q1)))
-
-        def q_residual(q1):
-            return q1 - q - h * (minv @ (p - h * sys.grad_V(q1)))
-
-        q1 = _solve(cfg, q_map, q_residual, q)
-        return p - h * sys.grad_V(q1), q1
-
     if a == 0 and b == 0:
-        return p - h * sys.grad_q(p, q), q + h * sys.grad_p(p, q)
+        return p - h * sys.grad_V(q), q + h * (sys.mass_inverse @ p)
     if a == 1 and b == 0:
-        p1 = _solve(
-            cfg,
-            lambda x: p - h * sys.grad_q(x, q),
-            lambda x: x - p + h * sys.grad_q(x, q),
-            p,
-        )
-        return p1, q + h * sys.grad_p(p1, q)
+        p1 = p - h * sys.grad_V(q)
+        return p1, q + h * (sys.mass_inverse @ p1)
     if a == 0 and b == 1:
-        q1 = _solve(
-            cfg,
-            lambda x: q + h * sys.grad_p(p, x),
-            lambda x: x - q - h * sys.grad_p(p, x),
-            q,
-        )
-        return p - h * sys.grad_q(p, q1), q1
-    d = p.size
+        q1 = q + h * (sys.mass_inverse @ p)
+        return p - h * sys.grad_V(q1), q1
+    # (1, 1): only the position equation is genuinely implicit.
+    minv = sys.mass_inverse
 
-    def joint_map(x):
-        pn, qn = x[:d], x[d:]
-        return np.concatenate([p - h * sys.grad_q(pn, qn), q + h * sys.grad_p(pn, qn)])
+    def q_map(q1):
+        return q + h * (minv @ (p - h * sys.grad_V(q1)))
 
-    def joint_residual(x):
-        return x - joint_map(x)
+    def q_residual(q1):
+        return q1 - q - h * (minv @ (p - h * sys.grad_V(q1)))
 
-    x1 = _solve(cfg, joint_map, joint_residual, np.concatenate([p, q]))
-    return x1[:d], x1[d:]
+    q1 = _solve(cfg, q_map, q_residual, q)
+    return p - h * sys.grad_V(q1), q1
 
 
 def _verlet_kernel(sys, cfg, h, p, q):
-    if isinstance(sys, SeparableSystem):
-        p_half = p - 0.5 * h * sys.grad_V(q)
-        q1 = q + h * (sys.mass_inverse @ p_half)
-        return p_half - 0.5 * h * sys.grad_V(q1), q1
-    # General case: symmetric composition of the two mixed Euler halves.
-    p_half, q_mid = _euler_kernel(sys, SYMPLECTIC_EULER_PQ, cfg, 0.5 * h, p, q)
-    return _euler_kernel(sys, SYMPLECTIC_EULER_QP, cfg, 0.5 * h, p_half, q_mid)
+    p_half = p - 0.5 * h * sys.grad_V(q)
+    q1 = q + h * (sys.mass_inverse @ p_half)
+    return p_half - 0.5 * h * sys.grad_V(q1), q1
 
 
 def step_euler(sys, variant: EulerVariant, cfg: StepperConfig, y: PhaseState) -> PhaseState:
     """One step of the Euler variant ``variant`` with step cfg.step_size."""
-    p, q = _euler_kernel(sys, variant, cfg, cfg.step_size, y.p, y.q)
+    p, q = _euler_kernel(variant, sys, cfg, cfg.step_size, y.p, y.q)
     return PhaseState(p=p, q=q)
 
 
@@ -219,33 +189,28 @@ def step_stormer_verlet(sys, cfg: StepperConfig, y: PhaseState) -> PhaseState:
 
 
 METHOD_IDS = {
-    "explicit-euler": EXPLICIT_EULER,
-    "implicit-euler": IMPLICIT_EULER,
-    "symplectic-euler-pq": SYMPLECTIC_EULER_PQ,
-    "symplectic-euler-qp": SYMPLECTIC_EULER_QP,
-    "stormer-verlet": "verlet",
+    "explicit-euler": partial(_euler_kernel, EXPLICIT_EULER),
+    "implicit-euler": partial(_euler_kernel, IMPLICIT_EULER),
+    "symplectic-euler-pq": partial(_euler_kernel, SYMPLECTIC_EULER_PQ),
+    "symplectic-euler-qp": partial(_euler_kernel, SYMPLECTIC_EULER_QP),
+    "stormer-verlet": _verlet_kernel,
 }
 
-MethodSpec = Union[str, EulerVariant, Callable]
+MethodSpec = Union[str, Callable]
 
 
 def resolve_method(method: MethodSpec):
-    """Turn a method id, EulerVariant, or kernel callable into a kernel.
+    """Turn a method id or a kernel callable into a kernel.
 
     Kernels have signature (sys, cfg, h, p, q) -> (p1, q1) on raw arrays.
     """
     if isinstance(method, str):
         try:
-            method = METHOD_IDS[method]
+            return METHOD_IDS[method]
         except KeyError:
             raise ContractViolationError(
                 f"unknown method id {method!r}; known: {sorted(METHOD_IDS)}"
             ) from None
-    if isinstance(method, EulerVariant):
-        variant = method
-        return lambda sys, cfg, h, p, q: _euler_kernel(sys, variant, cfg, h, p, q)
-    if method == "verlet":
-        return _verlet_kernel
     if callable(method):
         return method
     raise ContractViolationError(f"cannot interpret method {method!r}")
@@ -259,6 +224,7 @@ def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end
     SolverDivergenceError carries ``step_index = k`` and the records
     collected so far in its ``records`` attribute.
     """
+    _require_separable(sys)
     h = cfg.step_size
     if h <= 0.0:
         raise ContractViolationError(f"integrate needs step_size > 0, got {h}")
@@ -287,15 +253,6 @@ def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end
     return records
 
 
-def _flat_step(sys, kernel, cfg, h):
-    def phi(y_flat):
-        d = y_flat.size // 2
-        p1, q1 = kernel(sys, cfg, h, y_flat[:d], y_flat[d:])
-        return np.concatenate([p1, q1])
-
-    return phi
-
-
 def canonical_two_form(dim):
     """The matrix J of the symplectic form in the (p, q) flat layout."""
     j = np.zeros((2 * dim, 2 * dim))
@@ -310,15 +267,21 @@ def symplecticity_defect(sys, method, cfg, y: PhaseState, fd_step=1e-6) -> float
     Exactly symplectic maps give zero up to finite-difference noise;
     the explicit and implicit Euler methods give a defect of order h^2.
     """
+    _require_separable(sys)
     kernel = resolve_method(method)
-    phi = _flat_step(sys, kernel, cfg, cfg.step_size)
+    d = y.dim
+
+    def phi(y_flat):
+        return np.concatenate(kernel(sys, cfg, cfg.step_size, y_flat[:d], y_flat[d:]))
+
     dphi = central_jacobian(phi, y.flat(), step=fd_step)
-    j = canonical_two_form(y.dim)
+    j = canonical_two_form(d)
     return float(np.linalg.norm(dphi.T @ j @ dphi - j))
 
 
 def symmetry_defect(sys, method, cfg, y: PhaseState) -> float:
     """Max-norm of Phi_{-h}(Phi_h(y)) - y; zero for symmetric methods."""
+    _require_separable(sys)
     kernel = resolve_method(method)
     h = cfg.step_size
     p1, q1 = kernel(sys, cfg, h, y.p, y.q)
@@ -351,8 +314,3 @@ def first_integral_series(records, integrals) -> SeriesTable:
             row += [value, drift, drift / scale if scale > 0.0 else drift]
         table.append(row)
     return table
-
-
-def with_step(cfg: StepperConfig, h) -> StepperConfig:
-    """Copy of ``cfg`` with a different step size."""
-    return replace(cfg, step_size=float(h))

@@ -182,6 +182,17 @@ def test_run_writes_csv_and_summary(tmp_path, capsys):
     assert header == "t,H,rel_H_err,L,L_drift"
 
 
+@pytest.mark.parametrize("experiment, modes", [
+    ("klein-gordon-decay", [f"E_{j}" for j in range(33)]),
+    ("fpu-exchange", ["E_1", "E_2", "E_3"]),
+])
+def test_energy_table_headers(tmp_path, experiment, modes):
+    dest = tmp_path / "energies.csv"
+    assert cli.main(["run", experiment, "--t-end", "1", "--output", str(dest)]) == 0
+    header = dest.read_text().splitlines()[0]
+    assert header == ",".join(["t", *modes, "H_omega", "H_slow", "H", "H_rel_drift"])
+
+
 def test_unknown_experiment_is_usage_error(capsys):
     assert cli.main(["run", "warp-drive", "--h", "1", "--t-end", "1"]) == 1
 

@@ -229,7 +229,7 @@ def test_no_core_inversion_on_the_splitting_path(monkeypatch):
     strang_step(flow, y, 0.0, 0.1)
     # The gauge-ODE right-hand side, by contrast, cannot avoid it.
     with pytest.raises(AssertionError):
-        naive_gauge_rhs(flow, 0.0, y)
+        naive_gauge_rhs(flow, 0.0, y.u, y.s, y.v)
 
 
 # ------------------------------------------------------------------ integrate
@@ -386,7 +386,7 @@ def test_known_spectrum_gives_the_svd_best_error(args, t):
 def test_gauge_rhs_satisfies_the_gauge_conditions():
     flow = rotating_flow([1.0, 0.5, 0.25], m=6, n=5, seed=11)
     y = factorize(flow.exact_A(0.0), 3)
-    du, ds, dv = naive_gauge_rhs(flow, 0.0, y)
+    du, ds, dv = naive_gauge_rhs(flow, 0.0, y.u, y.s, y.v)
     assert np.linalg.norm(y.u.T @ du) <= 1e-13
     assert np.linalg.norm(y.v.T @ dv) <= 1e-13
     reassembled = du @ y.s @ y.v.T + y.u @ ds @ y.v.T + y.u @ y.s @ dv.T
@@ -398,7 +398,8 @@ def test_gauge_integration_works_on_well_conditioned_flows():
     flow = rotating_flow([1.0, 0.5, 0.25, 0.125], m=8, n=8, seed=2)
     y0 = factorize(flow.exact_A(0.0), 4)
     out = integrate_naive_gauge(flow, y0, 0.0, 1.0, 0.01)
-    assert np.linalg.norm(to_full(out) - flow.exact_A(1.0)) <= 1e-8
+    assert out.shape == (8, 8)
+    assert np.linalg.norm(out - flow.exact_A(1.0)) <= 1e-8
 
 
 def test_gauge_integration_overflows_on_the_stiff_benchmark():
@@ -407,6 +408,22 @@ def test_gauge_integration_overflows_on_the_stiff_benchmark():
     y0 = factorize(flow.exact_A(0.0), 8)
     with pytest.raises(SolverDivergenceError):
         integrate_naive_gauge(flow, y0, 0.0, 0.2, 0.01)
+
+
+def test_gauge_integration_refuses_a_backward_interval():
+    flow = rotating_flow([1.0, 0.5], m=4, n=3, seed=2)
+    y0 = factorize(flow.exact_A(0.0), 2)
+    with pytest.raises(ContractViolationError):
+        integrate_naive_gauge(flow, y0, 1.0, 0.0, 0.1)
+
+
+def test_gauge_integration_refuses_a_step_longer_than_the_interval():
+    flow = rotating_flow([1.0, 0.5], m=4, n=3, seed=2)
+    y0 = factorize(flow.exact_A(0.0), 2)
+    with pytest.raises(ContractViolationError):
+        integrate_naive_gauge(flow, y0, 0.0, 1.0, 10.0)
+    # An empty interval is not an error: the result is the initial matrix.
+    assert np.array_equal(integrate_naive_gauge(flow, y0, 1.0, 1.0, 10.0), to_full(y0))
 
 
 def test_benchmark_table_shape_and_best_error_formula():

@@ -15,6 +15,7 @@ from geomint.oscillatory import (
     FilterPair,
     OscillatorySystem,
     StepperConfig,
+    energy_table,
     integrate_trigonometric,
     resonance_report,
     run_energy_exchange_experiment,
@@ -131,6 +132,17 @@ def test_exchange_experiment_refuses_resonant_step():
         run_energy_exchange_experiment(3, 50.0, np.pi / 50.0, 10.0)
     assert info.value.report is not None
     assert not info.value.report.admissible
+
+
+def test_energy_table_lists_positive_frequency_blocks_only():
+    sys, y0 = fpu()
+    records = integrate_trigonometric(sys, MOLLIFIED, 0.02, y0, 1.0, record_every=10)
+    table = energy_table(sys, records)
+    assert table.columns == ["t", "E_1", "E_2", "E_3", "H_omega", "H_slow", "H", "H_rel_drift"]
+    assert len(table) == len(records)
+    assert table.rows[0][-1] == 0.0
+    with pytest.raises(ContractViolationError):
+        energy_table(sys, [])
 
 
 # ------------------------------------------------------------------- physics

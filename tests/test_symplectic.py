@@ -131,6 +131,41 @@ def test_integrate_validations():
         integrate(HARMONIC, "runge-kutta", cfg(0.1), UNIT, 1.0)
 
 
+class _NotSeparable:
+    """Exposes the Hamiltonian interface but is not a SeparableSystem."""
+
+    dim = 1
+
+    def eval_H(self, p, q):
+        return HARMONIC.eval_H(p, q)
+
+    def grad_p(self, p, q):
+        return HARMONIC.grad_p(p, q)
+
+    def grad_q(self, p, q):
+        return HARMONIC.grad_q(p, q)
+
+
+@pytest.mark.parametrize("run", [
+    lambda sys: integrate(sys, "stormer-verlet", cfg(0.1), UNIT, 1.0),
+    lambda sys: symplecticity_defect(sys, "symplectic-euler-pq", cfg(0.1), UNIT),
+    lambda sys: symmetry_defect(sys, "stormer-verlet", cfg(0.1), UNIT),
+], ids=["integrate", "symplecticity_defect", "symmetry_defect"])
+def test_non_separable_system_is_contract_violation(run):
+    with pytest.raises(ContractViolationError, match="SeparableSystem"):
+        run(_NotSeparable())
+
+
+def test_method_ids_map_to_kernels():
+    # A kernel callable passes through; ids resolve to the same objects
+    # on every call; anything else is refused.
+    assert symplectic.resolve_method(symplectic._verlet_kernel) is symplectic._verlet_kernel
+    for name, kernel in symplectic.METHOD_IDS.items():
+        assert symplectic.resolve_method(name) is kernel
+    with pytest.raises(ContractViolationError):
+        symplectic.resolve_method(EulerVariant(0, 0))
+
+
 def test_stepper_config_validations():
     with pytest.raises(ContractViolationError):
         StepperConfig(step_size=float("nan"))
