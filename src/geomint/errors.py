@@ -27,8 +27,11 @@ class InadmissibleStepError(ContractViolationError):
         self.report = report
 
 
-class ResonantStepError(GeomintError):
-    """A trigonometric step hit a filter singularity sinc(h*omega_j) = 0."""
+class ResonantStepError(ContractViolationError):
+    """A trigonometric step hit a filter singularity sinc(h*omega_j) = 0.
+
+    The step size is inadmissible for the system, so this is a contract
+    violation like InadmissibleStepError."""
 
     def __init__(self, message, block_index=None, h_omega=None):
         super().__init__(message)

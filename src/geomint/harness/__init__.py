@@ -1,9 +1,12 @@
-"""Experiment front end: CSV emission, convergence studies, registry, CLI."""
+"""Experiment front end: CSV emission, convergence studies, registry, CLI.
+
+The command line lives in ``geomint.harness.cli``; it is not imported
+here, so that ``python -m geomint.harness.cli`` runs it as a fresh module.
+"""
 
 from .csvio import emit_csv, parse_csv
 from .convergence import convergence_table, observed_order
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
-from .cli import main
 
 __all__ = [
     "emit_csv",
@@ -13,5 +16,4 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "run_experiment",
-    "main",
 ]

@@ -6,9 +6,11 @@
     geomint list
 
 Exit status: 0 success, 1 usage error, 2 contract violation (bad domain,
-inadmissible step size), 3 solver divergence (a partial CSV is still
-written when rows exist), 4 I/O failure.  A config file holds flat
-``key = value`` lines mirroring the flags; command-line flags win.
+inadmissible or resonant step size, more than symplectic.MAX_STEPS
+steps), 3 solver divergence or any other numerical failure (a partial CSV
+is still written when the experiment returns its rows), 4 I/O failure.
+A config file holds flat ``key = value`` lines mirroring the flags;
+command-line flags win.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import ContractViolationError, SolverDivergenceError
+from ..errors import ContractViolationError, GeomintError, SolverDivergenceError
 from .csvio import emit_csv
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
@@ -201,6 +203,9 @@ def main(argv=None) -> int:
     except ContractViolationError as exc:
         stderr.write(f"geomint: contract violation: {exc}\n")
         return EXIT_CONTRACT
+    except GeomintError as exc:
+        stderr.write(f"geomint: numerical failure: {type(exc).__name__}: {exc}\n")
+        return EXIT_DIVERGENCE
     except OSError as exc:
         stderr.write(f"geomint: i/o failure: {exc}\n")
         return EXIT_IO

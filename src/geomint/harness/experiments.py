@@ -1,9 +1,9 @@
 """Registered experiments and their fixed CSV schemas.
 
 Each experiment maps a configuration to a SeriesTable plus a small
-summary dict.  Solver divergence inside the solar run is a recordable
-outcome: the rows collected before the failure are returned and the
-result is flagged, so the caller can still write a partial CSV.
+summary dict.  Solver divergence inside the solar and Kepler runs is a
+recordable outcome: the rows collected before the failure are returned
+and the result is flagged, so the caller can still write a partial CSV.
 """
 
 from __future__ import annotations
@@ -93,23 +93,25 @@ def _energy_columns(records, eval_H):
     return h_values, rel
 
 
-def _run_solar(cfg: ExperimentConfig) -> ExperimentResult:
-    sys, y0, data = make_outer_solar_system()
-    stepper = symplectic.StepperConfig(step_size=cfg.h)
-    diverged = False
-    summary = {}
+def _integrate_until_divergence(sys, cfg: ExperimentConfig, stepper, y0):
+    """symplectic.integrate's records and summary; a run that diverges at
+    step k is a recordable outcome: its records so far, with steps = k."""
     try:
         records = symplectic.integrate(sys, cfg.method, stepper, y0, cfg.t_end,
                                        record_every=cfg.record_every)
     except SolverDivergenceError as exc:
-        records = exc.records
-        diverged = True
-        summary["diverged_at_step"] = exc.step_index
+        return exc.records, {"diverged_at_step": exc.step_index, "steps": exc.step_index}, True
+    return records, {"steps": int(round(cfg.t_end / cfg.h))}, False
+
+
+def _run_solar(cfg: ExperimentConfig) -> ExperimentResult:
+    sys, y0, data = make_outer_solar_system()
+    stepper = symplectic.StepperConfig(step_size=cfg.h)
+    records, summary, diverged = _integrate_until_divergence(sys, cfg, stepper, y0)
     table = SeriesTable(["t", "H", "rel_H_err", "r_J", "r_S", "r_U", "r_N", "r_P"])
     h_vals, rel = _energy_columns(records, sys.eval_H)
     for (t, state), h_val, r in zip(records, h_vals, rel):
         table.append([t, h_val, r, *heliocentric_distances(data, state)])
-    summary["steps"] = int(round(cfg.t_end / cfg.h)) if not diverged else summary["diverged_at_step"]
     summary["max_rel_H_err"] = float(np.max(np.abs(rel)))
     summary["headline"] = f"max_rel_H_err={summary['max_rel_H_err']:.6g}"
     return ExperimentResult(table, summary, diverged)
@@ -119,8 +121,7 @@ def _run_kepler_longtime(cfg: ExperimentConfig) -> ExperimentResult:
     sys, y0 = make_kepler(cfg.params["eccentricity"])
     solver = "newton" if cfg.method == "implicit-euler" else "fixed-point"
     stepper = symplectic.StepperConfig(step_size=cfg.h, solver=solver)
-    records = symplectic.integrate(sys, cfg.method, stepper, y0, cfg.t_end,
-                                   record_every=cfg.record_every)
+    records, summary, diverged = _integrate_until_divergence(sys, cfg, stepper, y0)
     table = SeriesTable(["t", "H", "rel_H_err", "L", "L_drift"])
     h_vals, rel = _energy_columns(records, sys.eval_H)
     l0 = angular_momentum_2d(records[0][1])
@@ -129,13 +130,10 @@ def _run_kepler_longtime(cfg: ExperimentConfig) -> ExperimentResult:
         ell = angular_momentum_2d(state)
         max_l_drift = max(max_l_drift, abs(ell - l0))
         table.append([t, h_val, r, ell, ell - l0])
-    summary = {
-        "steps": int(round(cfg.t_end / cfg.h)),
-        "max_rel_H_err": float(np.max(np.abs(rel))),
-        "max_L_drift": max_l_drift,
-        "headline": f"max_rel_H_err={np.max(np.abs(rel)):.6g} max_L_drift={max_l_drift:.3g}",
-    }
-    return ExperimentResult(table, summary)
+    summary["max_rel_H_err"] = float(np.max(np.abs(rel)))
+    summary["max_L_drift"] = max_l_drift
+    summary["headline"] = f"max_rel_H_err={np.max(np.abs(rel)):.6g} max_L_drift={max_l_drift:.3g}"
+    return ExperimentResult(table, summary, diverged)
 
 
 def _run_fpu_exchange(cfg: ExperimentConfig) -> ExperimentResult:

@@ -43,6 +43,7 @@ from .errors import (
     SolverDivergenceError,
 )
 from .series import SeriesTable
+from .symplectic import MAX_STEPS
 
 _ORTHO_TOL = 1e-10
 
@@ -297,12 +298,18 @@ def _record(flow, y, t):
 
 
 def _step_count(t0, t_end, h):
-    """round((t_end - t0) / h); refuses h <= 0, t_end < t0 and zero steps on a nonempty interval."""
+    """round((t_end - t0) / h); refuses h <= 0, t_end < t0, zero steps on a
+    nonempty interval and more than MAX_STEPS steps."""
     if h <= 0.0:
         raise ContractViolationError(f"h must be positive, got {h}")
     if t_end < t0:
         raise ContractViolationError(f"t_end {t_end} is before t0 {t0}")
-    n_steps = int(round((t_end - t0) / h))
+    ratio = (t_end - t0) / h
+    if not ratio <= MAX_STEPS:
+        raise ContractViolationError(
+            f"(t_end - t0) / h = {ratio:.3g} steps; at most MAX_STEPS = {MAX_STEPS:.0e} are taken"
+        )
+    n_steps = int(round(ratio))
     if n_steps == 0 and t_end != t0:
         raise ContractViolationError(f"h {h} too large for the interval [{t0}, {t_end}]")
     return n_steps

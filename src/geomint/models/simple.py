@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ContractViolationError
@@ -29,12 +31,13 @@ def make_pendulum():
     )
 
 
+# |q| as np.linalg.norm computes it, without its per-call overhead.
 def _kepler_V(q):
-    return -1.0 / float(np.linalg.norm(q))
+    return -1.0 / math.sqrt(q.dot(q))
 
 
 def _kepler_grad_V(q):
-    r = float(np.linalg.norm(q))
+    r = math.sqrt(q.dot(q))
     return q / r**3
 
 

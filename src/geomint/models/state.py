@@ -28,7 +28,7 @@ class PhaseState:
             raise ContractViolationError(
                 f"p and q must be 1-d arrays of equal length, got {p.shape} and {q.shape}"
             )
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        if not (np.isfinite(p).all() and np.isfinite(q).all()):
             raise ContractViolationError("phase state contains non-finite entries")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)

@@ -31,10 +31,11 @@ import numpy as np
 
 from .errors import ContractViolationError, InadmissibleStepError, ResonantStepError
 from .models.state import PhaseState
-from .models.systems import OscillatorySystem, oscillatory_energies
+from .models.systems import OscillatorySystem
+from .models.systems import oscillatory_energies  # noqa: F401 -- perfbench's tracer patches this name
 from .models.fpu import make_fpu_chain
 from .series import SeriesTable
-from .symplectic import StepperConfig, integrate
+from .symplectic import StepperConfig, integrate, step_count
 
 _SINC_TAYLOR_CUTOFF = 1e-8
 _SINC_SINGULARITY_TOL = 1e-12
@@ -94,8 +95,11 @@ class TrigKernel:
     """Stepper kernel for one system/filter pair; caches coefficients per h.
 
     Instances are valid kernels for symplectic.integrate and friends:
-    call signature (sys, cfg, h, p, q) -> (p1, q1).  The system argument
-    must be the one the kernel was built for.
+    call signature (sys, cfg, h, p, q, g=None) -> (p1, q1, g1), where g1
+    is the filtered force -grad U(phi(h Omega) q1) at the new position.
+    Passed back as ``g`` to the next step of the same size h, it saves
+    that step's first force evaluation; g=None evaluates it afresh.  The
+    system argument must be the one the kernel was built for.
     """
 
     def __init__(self, sys: OscillatorySystem, filters: FilterPair):
@@ -137,21 +141,22 @@ class TrigKernel:
         self._coeff_cache[h] = coeffs
         return coeffs
 
-    def __call__(self, sys, cfg, h, p, q):
+    def __call__(self, sys, cfg, h, p, q, g=None):
         if sys is not self.sys:
             raise ContractViolationError("kernel used with a different system than it was built for")
         c = self._coefficients(h)
-        g0 = -self.sys.grad_U(c["phi"] * q)
-        q1 = c["cos"] * q + c["hsinc"] * p + 0.5 * h * h * (c["psi"] * g0)
+        if g is None:
+            g = -self.sys.grad_U(c["phi"] * q)
+        q1 = c["cos"] * q + c["hsinc"] * p + 0.5 * h * h * (c["psi"] * g)
         g1 = -self.sys.grad_U(c["phi"] * q1)
-        p1 = -c["wsin"] * q + c["cos"] * p + 0.5 * h * (c["psi0"] * g0 + c["psi1"] * g1)
-        return p1, q1
+        p1 = -c["wsin"] * q + c["cos"] * p + 0.5 * h * (c["psi0"] * g + c["psi1"] * g1)
+        return p1, q1, g1
 
 
 def step_trigonometric(sys, filters: FilterPair, cfg: StepperConfig, y: PhaseState) -> PhaseState:
     """One filtered step of size cfg.step_size."""
     kernel = TrigKernel(sys, filters)
-    p1, q1 = kernel(sys, cfg, cfg.step_size, y.p, y.q)
+    p1, q1, _ = kernel(sys, cfg, cfg.step_size, y.p, y.q)
     return PhaseState(p=p1, q=q1)
 
 
@@ -223,7 +228,7 @@ class ResonanceReport:
     sum_values: np.ndarray  # |sum k_j h omega_j|
     sum_distances: np.ndarray  # distance to nonzero multiples of 2 pi
     sums_admissible: bool
-    near_resonant_pairs: list  # (k_a, k_b, gap) with gap < threshold
+    near_resonant_pairs: np.ndarray  # (n, 2) rows a < b: |sum_values[a] - sum_values[b]| < threshold
 
 
 def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceReport:
@@ -236,7 +241,9 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
     sqrt(h) away from nonzero multiples of 2*pi.  Pairs of sums closer
     than sqrt(h) to each other are reported as near-resonant combinations
     (these are genuine frequency resonances, not step-size artifacts, so
-    they do not affect admissibility).
+    they do not affect admissibility): ``near_resonant_pairs`` is an
+    (n, 2) index array whose rows a < b index ``sum_coefficients`` and
+    ``sum_values``.
     """
     h = float(h)
     if h <= 0.0 or not np.isfinite(h):
@@ -255,13 +262,13 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
         kmat = np.array(combos, dtype=float)
         sums = np.abs(kmat @ (h * omega))
         sum_dist = _distance_to_multiples(sums, 2.0 * np.pi, include_zero=False)
-        gap = np.abs(sums[:, None] - sums[None, :])
-        close = np.argwhere(np.triu(gap < threshold, k=1))
-        pairs = [(combos[a], combos[b], float(gap[a, b])) for a, b in close]
+        gap = sums[:, None] - sums[None, :]
+        np.abs(gap, out=gap)
+        pairs = np.argwhere(np.triu(gap < threshold, k=1))
     else:
         sums = np.zeros(0)
         sum_dist = np.zeros(0)
-        pairs = []
+        pairs = np.zeros((0, 2), dtype=np.intp)
     return ResonanceReport(
         h=h,
         threshold=float(threshold),
@@ -281,18 +288,36 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
 def energy_table(sys: OscillatorySystem, records) -> SeriesTable:
     """Energies along integrate() records: columns t, E_j for every
     positive-frequency block j, H_omega, H_slow, H and H_rel_drift
-    (relative to H at the first record)."""
+    (relative to H at the first record).
+
+    Each row holds the values oscillatory_energies gives for its record,
+    bit for bit: the block energies are taken over all records at once,
+    one block at a time, and summed in the same order.
+    """
     if not records:
         raise ContractViolationError("records must not be empty")
     blocks = np.flatnonzero(sys.frequencies > 0.0)
     table = SeriesTable(["t", *(f"E_{j}" for j in blocks), "H_omega", "H_slow", "H", "H_rel_drift"])
-    h0 = None
-    for t, state in records:
-        e = oscillatory_energies(sys, state)
-        if h0 is None:
-            h0 = e.h_total
-        table.append([t, *e.mode_energies[blocks], e.h_omega, e.h_slow, e.h_total,
-                      (e.h_total - h0) / abs(h0)])
+    p = np.array([state.p for _, state in records])
+    q = np.array([state.q for _, state in records])
+    if p.shape[1] != sys.dim:
+        raise ContractViolationError(f"states have dimension {p.shape[1]}, system expects {sys.dim}")
+    h_omega = np.zeros(len(records))
+    h_slow = np.array([float(sys.eval_U(state.q)) for _, state in records])
+    energies = []
+    for j, freq in enumerate(sys.frequencies):
+        sl = sys.block_slice(j)
+        e = 0.5 * (np.vecdot(p[:, sl], p[:, sl]) + freq**2 * np.vecdot(q[:, sl], q[:, sl]))
+        if freq > 0.0:
+            h_omega += e
+            energies.append(e)
+        else:
+            h_slow += e
+    h_total = h_omega + h_slow
+    rel_drift = (h_total - h_total[0]) / abs(h_total[0])
+    times = [t for t, _ in records]
+    for row in zip(times, *np.array([*energies, h_omega, h_slow, h_total, rel_drift]).tolist()):
+        table.append(row)
     return table
 
 
@@ -308,7 +333,7 @@ def run_screened(sys, y0, filters, h, t_end, record_every=None) -> SeriesTable:
             report=report,
         )
     if record_every is None:
-        record_every = max(1, int(round(t_end / h)) // 2000)
+        record_every = max(1, step_count(h, t_end) // 2000)
     records = integrate_trigonometric(sys, filters, h, y0, t_end, record_every=record_every)
     return energy_table(sys, records)
 

@@ -20,6 +20,7 @@ symmetric under time reversal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Union
@@ -33,6 +34,10 @@ from .models.systems import SeparableSystem
 from .series import SeriesTable
 
 _SOLVERS = ("fixed-point", "newton")
+
+# integrate() and the low-rank integrators refuse runs of more steps than
+# this, which sits far above every registered experiment.
+MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -147,16 +152,18 @@ def _require_separable(sys):
         raise ContractViolationError(f"steppers need a SeparableSystem, got {type(sys).__name__}")
 
 
-def _euler_kernel(variant, sys, cfg, h, p, q):
+def _euler_kernel(variant, sys, cfg, h, p, q, g=None):
+    # No variant evaluates grad V where its next step starts, so nothing
+    # is carried: ``g`` is ignored and the returned gradient is None.
     a, b = variant.alpha, variant.beta
     if a == 0 and b == 0:
-        return p - h * sys.grad_V(q), q + h * (sys.mass_inverse @ p)
+        return p - h * sys.grad_V(q), q + h * (sys.mass_inverse @ p), None
     if a == 1 and b == 0:
         p1 = p - h * sys.grad_V(q)
-        return p1, q + h * (sys.mass_inverse @ p1)
+        return p1, q + h * (sys.mass_inverse @ p1), None
     if a == 0 and b == 1:
         q1 = q + h * (sys.mass_inverse @ p)
-        return p - h * sys.grad_V(q1), q1
+        return p - h * sys.grad_V(q1), q1, None
     # (1, 1): only the position equation is genuinely implicit.
     minv = sys.mass_inverse
 
@@ -167,24 +174,27 @@ def _euler_kernel(variant, sys, cfg, h, p, q):
         return q1 - q - h * (minv @ (p - h * sys.grad_V(q1)))
 
     q1 = _solve(cfg, q_map, q_residual, q)
-    return p - h * sys.grad_V(q1), q1
+    return p - h * sys.grad_V(q1), q1, None
 
 
-def _verlet_kernel(sys, cfg, h, p, q):
-    p_half = p - 0.5 * h * sys.grad_V(q)
+def _verlet_kernel(sys, cfg, h, p, q, g=None):
+    if g is None:
+        g = sys.grad_V(q)
+    p_half = p - 0.5 * h * g
     q1 = q + h * (sys.mass_inverse @ p_half)
-    return p_half - 0.5 * h * sys.grad_V(q1), q1
+    g1 = sys.grad_V(q1)
+    return p_half - 0.5 * h * g1, q1, g1
 
 
 def step_euler(sys, variant: EulerVariant, cfg: StepperConfig, y: PhaseState) -> PhaseState:
     """One step of the Euler variant ``variant`` with step cfg.step_size."""
-    p, q = _euler_kernel(variant, sys, cfg, cfg.step_size, y.p, y.q)
+    p, q, _ = _euler_kernel(variant, sys, cfg, cfg.step_size, y.p, y.q)
     return PhaseState(p=p, q=q)
 
 
 def step_stormer_verlet(sys, cfg: StepperConfig, y: PhaseState) -> PhaseState:
     """One step of the symmetric three-stage (kick, drift, kick) method."""
-    p, q = _verlet_kernel(sys, cfg, cfg.step_size, y.p, y.q)
+    p, q, _ = _verlet_kernel(sys, cfg, cfg.step_size, y.p, y.q)
     return PhaseState(p=p, q=q)
 
 
@@ -202,7 +212,15 @@ MethodSpec = Union[str, Callable]
 def resolve_method(method: MethodSpec):
     """Turn a method id or a kernel callable into a kernel.
 
-    Kernels have signature (sys, cfg, h, p, q) -> (p1, q1) on raw arrays.
+    Kernels have signature (sys, cfg, h, p, q, g=None) -> (p1, q1, g1) on
+    raw arrays.  ``g1`` is the gradient term the kernel evaluated at the
+    new position q1, or None from a kernel that has none to hand on (the
+    Euler variants).  ``g`` is that value from the previous step of the
+    same size h, ending at q, or None to have it evaluated afresh.
+    integrate() carries it from step to step, so Stormer-Verlet and the
+    trigonometric kernels evaluate one gradient per step ("first same as
+    last"); the step_* helpers and the finite-difference diagnostics pass
+    None, so they never reuse a gradient from elsewhere.
     """
     if isinstance(method, str):
         try:
@@ -216,40 +234,63 @@ def resolve_method(method: MethodSpec):
     raise ContractViolationError(f"cannot interpret method {method!r}")
 
 
-def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end, record_every=1):
-    """Run round(t_end / h) fixed steps from t = 0; return [(t_k, state_k)].
+def step_count(h, t_end):
+    """round(t_end / h), the number of fixed steps integrate() takes.
 
-    Records every ``record_every``-th step plus, always, the initial and
-    final states.  If an implicit solve diverges at step k, the raised
-    SolverDivergenceError carries ``step_index = k`` and the records
-    collected so far in its ``records`` attribute.
+    Refuses h <= 0, t_end <= 0, a step longer than the interval and more
+    than MAX_STEPS steps (ContractViolationError).
     """
-    _require_separable(sys)
-    h = cfg.step_size
-    if h <= 0.0:
+    if not h > 0.0:
         raise ContractViolationError(f"integrate needs step_size > 0, got {h}")
-    if t_end <= 0.0:
+    if not t_end > 0.0:
         raise ContractViolationError(f"integrate needs t_end > 0, got {t_end}")
-    record_every = int(record_every)
-    if record_every < 1:
-        raise ContractViolationError(f"record_every must be >= 1, got {record_every}")
-    kernel = resolve_method(method)
-    n_steps = int(round(t_end / h))
+    ratio = t_end / h
+    if not ratio <= MAX_STEPS:
+        raise ContractViolationError(
+            f"t_end / h = {ratio:.3g} steps; at most MAX_STEPS = {MAX_STEPS:.0e} are taken"
+        )
+    n_steps = int(round(ratio))
     if n_steps < 1:
         raise ContractViolationError(
             f"round(t_end / h) = {n_steps}; step size {h} too large for t_end {t_end}"
         )
-    p, q = y0.p.copy(), y0.q.copy()
+    return n_steps
+
+
+def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end, record_every=1):
+    """Run round(t_end / h) fixed steps from t = 0; return [(t_k, state_k)].
+
+    Records every ``record_every``-th step plus, always, the initial and
+    final states.  If an implicit solve diverges at step k, or step k
+    leaves p or q non-finite, the raised SolverDivergenceError carries
+    ``step_index = k`` and the records collected so far in its
+    ``records`` attribute.
+    """
+    _require_separable(sys)
+    h = cfg.step_size
+    n_steps = step_count(h, t_end)
+    record_every = int(record_every)
+    if record_every < 1:
+        raise ContractViolationError(f"record_every must be >= 1, got {record_every}")
+    kernel = resolve_method(method)
+    p, q, g = y0.p.copy(), y0.q.copy(), None
     records = [(0.0, PhaseState(p=p, q=q))]
-    for k in range(1, n_steps + 1):
-        try:
-            p, q = kernel(sys, cfg, h, p, q)
-        except SolverDivergenceError as exc:
-            exc.step_index = k
-            exc.records = records
-            raise
-        if k % record_every == 0 or k == n_steps:
-            records.append((k * h, PhaseState(p=p, q=q)))
+    # x.dot(zero) is nan exactly when x has an inf or nan entry (inf * 0 is
+    # nan), which checks each step's result in two cheap calls.  Overflow
+    # is then reported as the divergence it is, not as a warning.
+    zero = np.zeros(y0.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            try:
+                p, q, g = kernel(sys, cfg, h, p, q, g)
+                if math.isnan(p.dot(zero) + q.dot(zero)):
+                    raise SolverDivergenceError(f"step {k} left the state non-finite")
+            except SolverDivergenceError as exc:
+                exc.step_index = k
+                exc.records = records
+                raise
+            if k % record_every == 0 or k == n_steps:
+                records.append((k * h, PhaseState(p=p, q=q)))
     return records
 
 
@@ -272,7 +313,8 @@ def symplecticity_defect(sys, method, cfg, y: PhaseState, fd_step=1e-6) -> float
     d = y.dim
 
     def phi(y_flat):
-        return np.concatenate(kernel(sys, cfg, cfg.step_size, y_flat[:d], y_flat[d:]))
+        p1, q1, _ = kernel(sys, cfg, cfg.step_size, y_flat[:d], y_flat[d:])
+        return np.concatenate((p1, q1))
 
     dphi = central_jacobian(phi, y.flat(), step=fd_step)
     j = canonical_two_form(d)
@@ -284,8 +326,8 @@ def symmetry_defect(sys, method, cfg, y: PhaseState) -> float:
     _require_separable(sys)
     kernel = resolve_method(method)
     h = cfg.step_size
-    p1, q1 = kernel(sys, cfg, h, y.p, y.q)
-    p2, q2 = kernel(sys, cfg, -h, p1, q1)
+    p1, q1, _ = kernel(sys, cfg, h, y.p, y.q)
+    p2, q2, _ = kernel(sys, cfg, -h, p1, q1)
     return float(max(np.max(np.abs(p2 - y.p)), np.max(np.abs(q2 - y.q))))
 
 

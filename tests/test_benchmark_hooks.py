@@ -1,20 +1,32 @@
-"""The benchmark's span tracer still finds every name it patches.
+"""The benchmark's span tracer still finds every name it patches, and what it
+reads from the results still works.
 
 ``perfbench/tracer.py`` wraps geomint's callables from outside the package,
 looking each one up by name (``experiments.oscillatory_energies``,
-``oscillatory.make_fpu_chain``, ...).  A refactor that drops or renames one of
-those names would otherwise only show up in a traced benchmark run.
+``oscillatory.make_fpu_chain``, ...), and takes notes from some results
+(``len(report.near_resonant_pairs)``, the CSV size).  A refactor that drops or
+renames one of those names, or changes a result's shape, would otherwise only
+show up in a traced benchmark run.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from geomint.harness import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Final times that shorten the benchmark's jobs to a fraction of a second
+# each; experiments not listed run as the benchmark runs them.
+SHORT_T_END = {"solar": "2000", "kepler-longtime": "2", "fpu-exchange": "2",
+               "klein-gordon-decay": "2"}
 
 
-def _load_tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load_perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -24,7 +36,7 @@ def _lookup(owner, key):
 
 
 def test_tracer_installs_and_restores_every_original():
-    tracer = _load_tracer_module().Tracer()
+    tracer = _load_perfbench_module("tracer").Tracer()
     patched = []
     replace = tracer._replace
 
@@ -42,3 +54,29 @@ def test_tracer_installs_and_restores_every_original():
         tracer.uninstall()
     for owner, key, original in patched:
         assert _lookup(owner, key) is original, key
+
+
+def test_traced_hamiltonian_jobs_compute_every_note(tmp_path):
+    tracer_module = _load_perfbench_module("tracer")
+    jobs = _load_perfbench_module("workloads").WORKLOADS["hamiltonian"]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for index, job in enumerate(jobs):
+            tracer.job = index
+            args = list(job.args)
+            if job.args[0] in SHORT_T_END:
+                args += ["--t-end", SHORT_T_END[job.args[0]]]
+            argv = ["run", *args, "--output", str(tmp_path / f"{job.name}.csv")]
+            assert cli.main(argv) == job.exit_code, job.name
+    finally:
+        tracer.uninstall()
+    noted = {"harness.csv", "oscillatory.resonance"}
+    for name, _, _, _, job, note in tracer.spans:
+        if name in noted:
+            assert note is not None and not isinstance(note, str), (name, jobs[job].name, note)
+    metrics = tracer_module.layer_metrics(tracer.spans)
+    for name in ("symplectic.steps", "oscillatory.trig_steps", "models.grad_calls",
+                 "models.energy_calls", "oscillatory.near_pairs", "harness.csv_bytes"):
+        assert metrics[name] > 0, name
+    assert metrics["symplectic.divergences"] == 1  # solar --method implicit-euler

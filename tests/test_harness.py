@@ -1,11 +1,16 @@
 """Experiment registry, CSV emission, convergence fits, and the CLI."""
 
 import io
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geomint.errors import ContractViolationError
+from geomint.errors import ContractViolationError, RankDeficiencyError
 from geomint.harness import cli, convergence, csvio, experiments
 from geomint.series import SeriesTable
 
@@ -236,6 +241,61 @@ def test_divergence_maps_to_exit_three(tmp_path, capsys):
     assert code == 3
     assert "diverged" in out
     assert dest.exists()  # partial series still written
+
+
+def test_kepler_divergence_writes_its_partial_csv(tmp_path, capsys):
+    # Implicit Euler's Newton solve gives up at step 26 of the default run.
+    dest = tmp_path / "kepler.csv"
+    code = cli.main(["run", "kepler-longtime", "--method", "implicit-euler", "--output", str(dest)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "steps=26 " in out and "status=diverged" in out
+    table = csvio.parse_csv(dest)
+    assert table.columns == ["t", "H", "rel_H_err", "L", "L_drift"]
+    assert table.column("t").tolist() == [0.0, 0.5, 1.0]  # steps 0, 10 and 20
+
+
+def test_resonant_step_error_is_a_contract_violation(tmp_path, capsys):
+    # h * omega = 2e306: the screen's distance to multiples of pi means
+    # nothing at that size, and the kernel's sinc check refuses the step.
+    dest = tmp_path / "x.csv"
+    code = cli.main(["run", "fpu-exchange", "--param", "omega=1e308", "--output", str(dest)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "sinc(h*omega) vanishes" in err
+    assert "Traceback" not in err
+    assert not dest.exists()
+
+
+def test_other_library_errors_map_to_exit_three(tmp_path, capsys, monkeypatch):
+    def fail(config):
+        raise RankDeficiencyError("K factor lost rank", substep="K")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    code = cli.main(["run", "lowrank-exactness", "--output", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "RankDeficiencyError: K factor lost rank" in capsys.readouterr().err
+
+
+def test_step_ceiling_exits_two_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    code = cli.main(["run", "kepler-longtime", "--h", "1e-300", "--t-end", "1",
+                     "--output", str(tmp_path / "x.csv")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "MAX_STEPS" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_import_warnings():
+    src = str(Path(experiments.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "geomint.harness.cli", "list"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "kepler-longtime" in done.stdout
 
 
 def test_unwritable_output_maps_to_exit_four():

@@ -426,6 +426,14 @@ def test_gauge_integration_refuses_a_step_longer_than_the_interval():
     assert np.array_equal(integrate_naive_gauge(flow, y0, 1.0, 1.0, 10.0), to_full(y0))
 
 
+@pytest.mark.parametrize("run", [integrate_lowrank, integrate_naive_gauge])
+def test_step_ceiling_is_a_contract_violation(run):
+    flow = rotating_flow([1.0, 0.5], m=4, n=3, seed=2)
+    y0 = factorize(flow.exact_A(0.0), 2)
+    with pytest.raises(ContractViolationError, match="MAX_STEPS"):
+        run(flow, y0, 0.0, 1.0, 1e-300)
+
+
 def test_benchmark_table_shape_and_best_error_formula():
     table = robustness_benchmark(sv_floor_exponents=(40,))
     assert table.columns == ["floor_exponent", "sigma_min_retained", "best_error",

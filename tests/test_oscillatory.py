@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geomint import models, oscillatory, symplectic
 from geomint.errors import (
@@ -98,7 +100,87 @@ def test_sinc_values():
     assert np.allclose(sinc(x), np.sin(x) / x, atol=1e-15)
 
 
+@given(filter_id=st.sampled_from(sorted(FILTERS)), h=st.floats(1e-3, 0.05),
+       n_steps=st.integers(1, 60), record_every=st.integers(1, 7))
+def test_integrate_carries_the_trig_force_bit_for_bit(filter_id, h, n_steps, record_every):
+    sys, y0 = fpu()
+    calls = []
+    grad_U = sys.grad_U
+
+    def counting_grad_U(q):
+        calls.append(1)
+        return grad_U(q)
+
+    kernel = oscillatory.TrigKernel(sys, FILTERS[filter_id]())
+    cfg = StepperConfig(step_size=h)
+    p, q = y0.p.copy(), y0.q.copy()
+    expected = [(0.0, p, q)]
+    for k in range(1, n_steps + 1):
+        p, q, _ = kernel(sys, cfg, h, p, q)  # g=None: both forces evaluated
+        if k % record_every == 0 or k == n_steps:
+            expected.append((k * h, p, q))
+    sys.grad_U = counting_grad_U
+    records = symplectic.integrate(sys, kernel, cfg, y0, n_steps * h, record_every=record_every)
+    assert len(calls) == n_steps + 1  # one force per step, plus the first
+    assert len(records) == len(expected)
+    for (t, state), (t_ref, p_ref, q_ref) in zip(records, expected):
+        assert t == t_ref
+        assert np.array_equal(state.p, p_ref) and np.array_equal(state.q, q_ref)
+
+
+def _energy_table_by_record(sys, records):
+    """energy_table's rows built from oscillatory_energies, one record at a time."""
+    blocks = np.flatnonzero(sys.frequencies > 0.0)
+    rows = []
+    h0 = None
+    for t, state in records:
+        e = models.oscillatory_energies(sys, state)
+        if h0 is None:
+            h0 = e.h_total
+        rows.append([t, *e.mode_energies[blocks], e.h_omega, e.h_slow, e.h_total,
+                     (e.h_total - h0) / abs(h0)])
+    return rows
+
+
+@given(model=st.sampled_from(["fpu", "klein-gordon"]), size=st.integers(1, 6),
+       n_records=st.integers(1, 30), scale=st.floats(1e-3, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_energy_table_matches_per_record_energies_bit_for_bit(model, size, n_records, scale, seed):
+    if model == "fpu":
+        sys, _ = models.make_fpu_chain(size, 50.0)
+    else:
+        sys, _ = models.make_klein_gordon(size + 3, 0.5, 0.1)
+    rng = np.random.default_rng(seed)
+    records = [(0.5 * k, PhaseState(p=scale * rng.standard_normal(sys.dim),
+                                    q=scale * rng.standard_normal(sys.dim)))
+               for k in range(n_records)]
+    assert energy_table(sys, records).rows == _energy_table_by_record(sys, records)
+
+
 # ----------------------------------------------------------------- resonance
+
+
+@given(freqs=st.lists(st.floats(0.5, 40.0), min_size=1, max_size=5),
+       slow=st.booleans(), h=st.floats(1e-3, 0.5), n_sum_terms=st.integers(0, 2))
+def test_near_resonant_pairs_match_a_brute_force_search(freqs, slow, h, n_sum_terms):
+    frequencies = sorted(freqs)
+    if slow:
+        frequencies = [0.0] + frequencies
+    sys = OscillatorySystem(
+        frequencies=frequencies,
+        block_dims=[1] * len(frequencies),
+        eval_U=lambda q: 0.0,
+        grad_U=lambda q: np.zeros(len(frequencies)),
+    )
+    rep = resonance_report(sys, h, n_sum_terms=n_sum_terms)
+    sums = rep.sum_values
+    expected = [[a, b] for a in range(sums.size) for b in range(a + 1, sums.size)
+                if abs(sums[a] - sums[b]) < rep.threshold]
+    assert rep.near_resonant_pairs.shape == (len(expected), 2)
+    assert rep.near_resonant_pairs.tolist() == expected
+    assert len(rep.sum_coefficients) == sums.size
+
+
 
 
 def test_resonance_report_admissible_step():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geomint import fdtools, models, symplectic
 from geomint.errors import ContractViolationError, SolverDivergenceError
@@ -175,6 +177,84 @@ def test_stepper_config_validations():
         StepperConfig(step_size=0.1, solver_tol=0.0)
     with pytest.raises(ContractViolationError):
         StepperConfig(step_size=0.1, solver_max_iter=0)
+
+
+def test_blow_up_is_a_divergence_with_the_step_and_partial_records():
+    # Explicit Euler grows the harmonic energy by (1 + h^2) per step: at
+    # h = 10 the state overflows after about 300 steps.
+    with pytest.raises(SolverDivergenceError, match="non-finite") as info:
+        integrate(HARMONIC, "explicit-euler", cfg(10.0), UNIT, 1e4)
+    assert info.value.step_index == 308
+    assert len(info.value.records) == 308
+    assert info.value.records[-1][0] == 3070.0
+
+
+@pytest.mark.parametrize("bad", [(0, np.inf), (0, -np.inf), (1, np.nan)], ids=["p-inf", "p-minus-inf", "q-nan"])
+def test_any_non_finite_entry_stops_the_run_at_its_step(bad):
+    # A kernel that spoils one entry of p or q at step 3 of a 3-d run.
+    which, value = bad
+    sys = symplectic.SeparableSystem(np.eye(3), lambda q: 0.0, lambda q: np.zeros(3))
+    steps = []
+
+    def kernel(sys, cfg, h, p, q, g=None):
+        steps.append(1)
+        out = [p + h, q.copy()]
+        if len(steps) == 3:
+            out[which][1] = value
+        return out[0], out[1], None
+
+    y0 = PhaseState(p=np.zeros(3), q=np.ones(3))
+    with pytest.raises(SolverDivergenceError) as info:
+        integrate(sys, kernel, cfg(0.1), y0, 1.0)
+    assert info.value.step_index == 3
+    assert len(info.value.records) == 3
+
+
+def test_step_count_ceiling_is_a_contract_violation():
+    for h, t_end in ((1e-300, 1.0), (1e-300, 1e10), (1.0, float("inf"))):
+        with pytest.raises(ContractViolationError, match="MAX_STEPS"):
+            integrate(HARMONIC, "stormer-verlet", cfg(h), UNIT, t_end)
+    assert symplectic.step_count(1.0, float(symplectic.MAX_STEPS)) == symplectic.MAX_STEPS
+
+
+def _counting(sys):
+    """A copy of ``sys`` whose grad_V counts its calls in ``calls``."""
+    calls = []
+
+    def grad_V(q):
+        calls.append(1)
+        return sys.grad_V(q)
+
+    return symplectic.SeparableSystem(sys.mass_inverse, sys.eval_V, grad_V, sys.name), calls
+
+
+def _kernel_loop(sys, kernel, h, y0, n_steps, record_every):
+    """What integrate() records, from one kernel call with g=None per step."""
+    p, q = y0.p.copy(), y0.q.copy()
+    out = [(0.0, p, q)]
+    for k in range(1, n_steps + 1):
+        p, q, _ = kernel(sys, cfg(h), h, p, q)
+        if k % record_every == 0 or k == n_steps:
+            out.append((k * h, p, q))
+    return out
+
+
+def assert_records_equal(records, expected):
+    assert len(records) == len(expected)
+    for (t, state), (t_ref, p_ref, q_ref) in zip(records, expected):
+        assert t == t_ref
+        assert np.array_equal(state.p, p_ref) and np.array_equal(state.q, q_ref)
+
+
+@given(eccentricity=st.floats(0.0, 0.7), h=st.floats(1e-3, 0.1),
+       n_steps=st.integers(1, 60), record_every=st.integers(1, 7))
+def test_integrate_carries_the_verlet_gradient_bit_for_bit(eccentricity, h, n_steps, record_every):
+    kepler, y0 = models.make_kepler(eccentricity)
+    sys, calls = _counting(kepler)
+    records = integrate(sys, "stormer-verlet", cfg(h), y0, n_steps * h, record_every=record_every)
+    assert len(calls) == n_steps + 1  # one gradient per step, plus the first
+    expected = _kernel_loop(kepler, symplectic._verlet_kernel, h, y0, n_steps, record_every)
+    assert_records_equal(records, expected)
 
 
 def test_implicit_divergence_reports_step():
