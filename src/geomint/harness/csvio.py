@@ -34,9 +34,12 @@ def emit_csv(table: SeriesTable, destination) -> None:
 
 
 def _write(table, stream):
+    # One '%' per row, which gives each value the text format_value gives
+    # it; rows go out one at a time, so no whole-file string is built.
+    line = ",".join(["%.17g"] * len(table.columns)) + "\n"
     stream.write(",".join(table.columns) + "\n")
     for row in table.rows:
-        stream.write(",".join(format_value(x) for x in row) + "\n")
+        stream.write(line % tuple(row))
 
 
 def parse_csv(source) -> SeriesTable:

@@ -86,32 +86,34 @@ class ExperimentResult:
     diverged: bool = False
 
 
-def _energy_columns(records, eval_H):
-    h_values = np.array([eval_H(state.p, state.q) for _, state in records])
+def _energy_columns(trajectory, eval_H):
+    """H at every record (one eval_H call each) and its drift relative to H(0)."""
+    h_values = np.array([eval_H(p, q) for p, q in zip(trajectory.p, trajectory.q)])
     h0 = h_values[0]
     rel = (h_values - h0) / abs(h0)
     return h_values, rel
 
 
 def _integrate_until_divergence(sys, cfg: ExperimentConfig, stepper, y0):
-    """symplectic.integrate's records and summary; a run that diverges at
+    """symplectic.integrate's trajectory and summary; a run that diverges at
     step k is a recordable outcome: its records so far, with steps = k."""
     try:
-        records = symplectic.integrate(sys, cfg.method, stepper, y0, cfg.t_end,
-                                       record_every=cfg.record_every)
+        trajectory = symplectic.integrate(sys, cfg.method, stepper, y0, cfg.t_end,
+                                          record_every=cfg.record_every)
     except SolverDivergenceError as exc:
         return exc.records, {"diverged_at_step": exc.step_index, "steps": exc.step_index}, True
-    return records, {"steps": int(round(cfg.t_end / cfg.h))}, False
+    return trajectory, {"steps": int(round(cfg.t_end / cfg.h))}, False
 
 
 def _run_solar(cfg: ExperimentConfig) -> ExperimentResult:
     sys, y0, data = make_outer_solar_system()
     stepper = symplectic.StepperConfig(step_size=cfg.h)
-    records, summary, diverged = _integrate_until_divergence(sys, cfg, stepper, y0)
-    table = SeriesTable(["t", "H", "rel_H_err", "r_J", "r_S", "r_U", "r_N", "r_P"])
-    h_vals, rel = _energy_columns(records, sys.eval_H)
-    for (t, state), h_val, r in zip(records, h_vals, rel):
-        table.append([t, h_val, r, *heliocentric_distances(data, state)])
+    trajectory, summary, diverged = _integrate_until_divergence(sys, cfg, stepper, y0)
+    h_vals, rel = _energy_columns(trajectory, sys.eval_H)
+    table = SeriesTable.from_columns(
+        ["t", "H", "rel_H_err", "r_J", "r_S", "r_U", "r_N", "r_P"],
+        [trajectory.t, h_vals, rel, *heliocentric_distances(data, trajectory).T],
+    )
     summary["max_rel_H_err"] = float(np.max(np.abs(rel)))
     summary["headline"] = f"max_rel_H_err={summary['max_rel_H_err']:.6g}"
     return ExperimentResult(table, summary, diverged)
@@ -121,15 +123,13 @@ def _run_kepler_longtime(cfg: ExperimentConfig) -> ExperimentResult:
     sys, y0 = make_kepler(cfg.params["eccentricity"])
     solver = "newton" if cfg.method == "implicit-euler" else "fixed-point"
     stepper = symplectic.StepperConfig(step_size=cfg.h, solver=solver)
-    records, summary, diverged = _integrate_until_divergence(sys, cfg, stepper, y0)
-    table = SeriesTable(["t", "H", "rel_H_err", "L", "L_drift"])
-    h_vals, rel = _energy_columns(records, sys.eval_H)
-    l0 = angular_momentum_2d(records[0][1])
-    max_l_drift = 0.0
-    for (t, state), h_val, r in zip(records, h_vals, rel):
-        ell = angular_momentum_2d(state)
-        max_l_drift = max(max_l_drift, abs(ell - l0))
-        table.append([t, h_val, r, ell, ell - l0])
+    trajectory, summary, diverged = _integrate_until_divergence(sys, cfg, stepper, y0)
+    h_vals, rel = _energy_columns(trajectory, sys.eval_H)
+    ell = angular_momentum_2d(trajectory)
+    l_drift = ell - ell[0]
+    table = SeriesTable.from_columns(["t", "H", "rel_H_err", "L", "L_drift"],
+                                     [trajectory.t, h_vals, rel, ell, l_drift])
+    max_l_drift = float(np.max(np.abs(l_drift)))
     summary["max_rel_H_err"] = float(np.max(np.abs(rel)))
     summary["max_L_drift"] = max_l_drift
     summary["headline"] = f"max_rel_H_err={np.max(np.abs(rel)):.6g} max_L_drift={max_l_drift:.3g}"

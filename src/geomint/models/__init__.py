@@ -11,7 +11,7 @@ from .solar import (
     load_nbody_data,
     make_outer_solar_system,
 )
-from .state import PhaseState
+from .state import PhaseState, Trajectory
 from .systems import (
     EnergyBreakdown,
     OscillatorySystem,
@@ -28,6 +28,7 @@ __all__ = [
     "OscillatorySystem",
     "PhaseState",
     "SeparableSystem",
+    "Trajectory",
     "angular_momentum_2d",
     "collocation_basis",
     "heliocentric_distances",

@@ -22,14 +22,14 @@ from .state import PhaseState
 from .systems import OscillatorySystem
 
 
-def _spring_terms(x, y):
-    """The m+1 quartic spring arguments D_0 .. D_m."""
-    m = x.size
-    d = np.empty(m + 1)
-    d[0] = x[0] - y[0]
-    if m > 1:
-        d[1:m] = x[1:] - y[1:] - x[:-1] - y[:-1]
-    d[m] = x[-1] + y[-1]
+def _spring_terms(q, m):
+    """The m+1 quartic spring arguments D_0 .. D_m along the last axis of
+    q = (x_1 .. x_m, y_1 .. y_m)."""
+    x, y = q[..., :m], q[..., m:]
+    d = np.empty(q.shape[:-1] + (m + 1,))
+    d[..., 0] = x[..., 0] - y[..., 0]
+    d[..., 1:m] = x[..., 1:] - y[..., 1:] - x[..., :-1] - y[..., :-1]
+    d[..., m] = x[..., -1] + y[..., -1]
     return d
 
 
@@ -50,11 +50,11 @@ def make_fpu_chain(m, omega):
         raise ContractViolationError(f"omega must be >= 10, got {omega}")
 
     def eval_U(q):
-        d = _spring_terms(q[:m], q[m:])
-        return 0.25 * float(np.sum(d**4))
+        d = _spring_terms(q, m)
+        return 0.25 * np.sum(d**4, axis=-1)
 
     def grad_U(q):
-        d = _spring_terms(q[:m], q[m:])
+        d = _spring_terms(q, m)
         c = d**3
         gx = c[:-1] - c[1:]
         gy = -(c[:-1] + c[1:])

@@ -67,8 +67,10 @@ def make_klein_gordon(K, rho, eps):
     _, basis = collocation_basis(K)
 
     def eval_U(q):
-        u = basis @ q
-        return -float(np.sum(u**3)) / (3.0 * n_points)
+        # basis @ q on the last axis; for a stack of states this gives each
+        # row's values bit for bit (q @ basis.T does not).
+        u = (basis @ q[..., None])[..., 0]
+        return -np.sum(u**3, axis=-1) / (3.0 * n_points)
 
     def grad_U(q):
         u = basis @ q

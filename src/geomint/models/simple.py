@@ -63,7 +63,8 @@ def make_kepler(eccentricity):
     return sys, PhaseState(p=p0, q=q0)
 
 
-def angular_momentum_2d(state: PhaseState) -> float:
-    """Planar angular momentum L = q1 p2 - q2 p1."""
-    q, p = state.q, state.p
-    return float(q[0] * p[1] - q[1] * p[0])
+def angular_momentum_2d(states):
+    """Planar angular momentum L = q1 p2 - q2 p1: a float for a PhaseState,
+    an (n,) array for a Trajectory."""
+    q, p = states.q, states.p
+    return q[..., 0] * p[..., 1] - q[..., 1] * p[..., 0]

@@ -140,7 +140,8 @@ def make_outer_solar_system(path=None):
     return sys, state, data
 
 
-def heliocentric_distances(data: NBodyData, state: PhaseState) -> np.ndarray:
-    """Distances of every body except the first from the first body."""
-    x = state.q.reshape(data.n_bodies, 3)
-    return np.linalg.norm(x[1:] - x[0], axis=1)
+def heliocentric_distances(data: NBodyData, states) -> np.ndarray:
+    """Distances of every body except the first from the first body: shape
+    (n_bodies - 1,) for a PhaseState, (n, n_bodies - 1) for a Trajectory."""
+    x = states.q.reshape(states.q.shape[:-1] + (data.n_bodies, 3))
+    return np.linalg.norm(x[..., 1:, :] - x[..., :1, :], axis=-1)

@@ -1,4 +1,4 @@
-"""Phase-space state container."""
+"""Phase-space state and trajectory containers."""
 
 from __future__ import annotations
 
@@ -40,3 +40,43 @@ class PhaseState:
     def flat(self):
         """Concatenated (p, q) vector of length 2d."""
         return np.concatenate([self.p, self.q])
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Recorded states of a run: times ``t`` (n,), ``p`` and ``q`` (n, d).
+
+    Row i is the state at time t[i]; a trajectory holds at least one.
+    ``len`` and indexing keep the record-list view: ``trajectory[i]`` is
+    the pair (t_i, PhaseState), built on access, and iterating yields
+    those pairs in order.  Code that reads whole columns uses the arrays.
+    """
+
+    t: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.t, dtype=float)
+        p = np.asarray(self.p, dtype=float)
+        q = np.asarray(self.q, dtype=float)
+        if t.ndim != 1 or t.size < 1 or p.ndim != 2 or p.shape != q.shape or p.shape[0] != t.size:
+            raise ContractViolationError(
+                f"a trajectory needs t of shape (n,) and p, q of shape (n, d) with n >= 1, "
+                f"got {t.shape}, {p.shape} and {q.shape}"
+            )
+        if not (np.isfinite(p).all() and np.isfinite(q).all()):
+            raise ContractViolationError("trajectory contains non-finite states")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __len__(self):
+        return self.t.size
+
+    def __getitem__(self, i):
+        return float(self.t[i]), PhaseState(p=self.p[i], q=self.q[i])
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]

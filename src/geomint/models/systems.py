@@ -65,6 +65,9 @@ class OscillatorySystem(SeparableSystem):
     the slow block (frequency 0) in the standard layout; models whose
     spectrum has no zero frequency simply carry no zero-frequency block.
     ``eval_U``/``grad_U`` give the coupling potential and its gradient.
+    ``eval_U`` acts on the last axis: a state q of shape (d,) gives a
+    scalar, a stack of states of shape (n, d) gives the n values, each
+    equal bit for bit to the value of its row alone.
     """
 
     frequencies: np.ndarray = None
@@ -165,7 +168,7 @@ def strip_coupling(sys: OscillatorySystem) -> OscillatorySystem:
     Useful as a linear reference: every block then evolves as an exact
     harmonic oscillator (or freely, for frequency zero).
     """
-    zero = lambda q: 0.0
+    zero = lambda q: np.zeros(np.shape(q)[:-1])
     zero_grad = lambda q: np.zeros_like(np.asarray(q, dtype=float))
     return OscillatorySystem(
         frequencies=sys.frequencies.copy(),

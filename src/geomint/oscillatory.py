@@ -16,7 +16,9 @@ three-stage kick-drift-kick map.
 
 Step sizes are screened by a non-resonance report: h*omega_j should stay
 away from multiples of pi (by sqrt(h)), unless the product is itself
-below sqrt(h) and the oscillation is fully resolved.  Signed sums of the
+below sqrt(h) and the oscillation is fully resolved.  A product so large
+that neighbouring doubles lie sqrt(h) or more apart is refused outright,
+since its distance to a multiple of pi cannot be resolved.  Signed sums of the
 h*omega_j are additionally checked against nonzero multiples of 2*pi.
 The report is a warning-or-refuse policy device; it does not guarantee
 the long-time behavior, it only refuses step sizes that are known bad.
@@ -30,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, InadmissibleStepError, ResonantStepError
-from .models.state import PhaseState
+from .models.state import PhaseState, Trajectory
 from .models.systems import OscillatorySystem
 from .models.systems import oscillatory_energies  # noqa: F401 -- perfbench's tracer patches this name
 from .models.fpu import make_fpu_chain
@@ -160,8 +162,8 @@ def step_trigonometric(sys, filters: FilterPair, cfg: StepperConfig, y: PhaseSta
     return PhaseState(p=p1, q=q1)
 
 
-def integrate_trigonometric(sys, filters, h, y0, t_end, record_every=1):
-    """Fixed-step run of the filtered method; returns [(t, state)]."""
+def integrate_trigonometric(sys, filters, h, y0, t_end, record_every=1) -> Trajectory:
+    """Fixed-step run of the filtered method; returns its Trajectory."""
     kernel = TrigKernel(sys, filters)
     cfg = StepperConfig(step_size=float(h))
     return integrate(sys, kernel, cfg, y0, t_end, record_every=record_every)
@@ -236,7 +238,9 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
 
     Single-frequency rule: every h*omega_j must be at least sqrt(h) away
     from the nearest multiple of pi, except that a product below sqrt(h)
-    (an oscillation fully resolved by the step) is admissible.  Sum rule:
+    (an oscillation fully resolved by the step) is admissible.  A product
+    whose spacing of doubles (np.spacing) is sqrt(h) or more is never
+    admissible: its distance to a multiple of pi means nothing there.  Sum rule:
     signed sums of at most ``n_sum_terms + 1`` of the h*omega_j must stay
     sqrt(h) away from nonzero multiples of 2*pi.  Pairs of sums closer
     than sqrt(h) to each other are reported as near-resonant combinations
@@ -254,7 +258,7 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
     positive = np.flatnonzero(sys.frequencies > 0.0)
     xi = h * sys.frequencies[positive]
     freq_dist = _distance_to_multiples(xi, np.pi, include_zero=True)
-    freq_ok = (freq_dist >= threshold) | (xi < threshold)
+    freq_ok = ((freq_dist >= threshold) | (xi < threshold)) & (np.spacing(xi) < threshold)
 
     combos = _signed_combinations(positive.size, n_sum_terms + 1)
     omega = sys.frequencies[positive]
@@ -285,25 +289,28 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
     )
 
 
-def energy_table(sys: OscillatorySystem, records) -> SeriesTable:
-    """Energies along integrate() records: columns t, E_j for every
+def energy_table(sys: OscillatorySystem, trajectory: Trajectory) -> SeriesTable:
+    """Energies along an integrate() trajectory: columns t, E_j for every
     positive-frequency block j, H_omega, H_slow, H and H_rel_drift
     (relative to H at the first record).
 
     Each row holds the values oscillatory_energies gives for its record,
-    bit for bit: the block energies are taken over all records at once,
-    one block at a time, and summed in the same order.
+    bit for bit.  The table is built column by column from the
+    trajectory's arrays: each block's energies over all records at once,
+    summed in the same order, and U from one eval_U call on the stacked
+    positions.
     """
-    if not records:
-        raise ContractViolationError("records must not be empty")
-    blocks = np.flatnonzero(sys.frequencies > 0.0)
-    table = SeriesTable(["t", *(f"E_{j}" for j in blocks), "H_omega", "H_slow", "H", "H_rel_drift"])
-    p = np.array([state.p for _, state in records])
-    q = np.array([state.q for _, state in records])
-    if p.shape[1] != sys.dim:
-        raise ContractViolationError(f"states have dimension {p.shape[1]}, system expects {sys.dim}")
-    h_omega = np.zeros(len(records))
-    h_slow = np.array([float(sys.eval_U(state.q)) for _, state in records])
+    if not isinstance(trajectory, Trajectory):
+        raise ContractViolationError(f"energy_table needs a Trajectory, got {type(trajectory).__name__}")
+    p, q = trajectory.p, trajectory.q
+    if q.shape[1] != sys.dim:
+        raise ContractViolationError(f"states have dimension {q.shape[1]}, system expects {sys.dim}")
+    h_slow = np.array(sys.eval_U(q), dtype=float)
+    if h_slow.shape != trajectory.t.shape:
+        raise ContractViolationError(
+            f"eval_U of {q.shape} positions gave shape {h_slow.shape}; it must act on the last axis"
+        )
+    h_omega = np.zeros(len(trajectory))
     energies = []
     for j, freq in enumerate(sys.frequencies):
         sl = sys.block_slice(j)
@@ -315,10 +322,11 @@ def energy_table(sys: OscillatorySystem, records) -> SeriesTable:
             h_slow += e
     h_total = h_omega + h_slow
     rel_drift = (h_total - h_total[0]) / abs(h_total[0])
-    times = [t for t, _ in records]
-    for row in zip(times, *np.array([*energies, h_omega, h_slow, h_total, rel_drift]).tolist()):
-        table.append(row)
-    return table
+    blocks = np.flatnonzero(sys.frequencies > 0.0)
+    return SeriesTable.from_columns(
+        ["t", *(f"E_{j}" for j in blocks), "H_omega", "H_slow", "H", "H_rel_drift"],
+        [trajectory.t, *energies, h_omega, h_slow, h_total, rel_drift],
+    )
 
 
 def run_screened(sys, y0, filters, h, t_end, record_every=None) -> SeriesTable:
@@ -327,9 +335,11 @@ def run_screened(sys, y0, filters, h, t_end, record_every=None) -> SeriesTable:
     ``record_every`` defaults to max(1, steps // 2000)."""
     report = resonance_report(sys, h)
     if not report.admissible:
+        blocks = report.block_indices[~report.freq_admissible].tolist()
         raise InadmissibleStepError(
-            f"step size {h} is resonant for {sys.name} "
-            f"(min distance {report.freq_distances.min():.3g} < sqrt(h) = {report.threshold:.3g})",
+            f"step size {h} is resonant for {sys.name}: h*omega of block(s) {blocks} lies "
+            f"within sqrt(h) = {report.threshold:.3g} of a multiple of pi, or is too large "
+            "for that distance to be resolved",
             report=report,
         )
     if record_every is None:

@@ -37,6 +37,26 @@ class SeriesTable:
                 )
         self.rows.append(values)
 
+    @classmethod
+    def from_columns(cls, columns, values):
+        """A table whose j-th column holds ``values[j]``, one equal-length
+        1-d sequence per column; its rows are lists of Python floats.  A
+        time column is checked once, as append() checks it row by row.
+        """
+        table = cls(columns)
+        arrays = [np.asarray(v, dtype=float) for v in values]
+        if len(arrays) != len(table.columns) or len({a.shape for a in arrays}) != 1 \
+                or arrays[0].ndim != 1:
+            raise ContractViolationError(
+                f"need {len(table.columns)} columns of one length, got {[a.shape for a in arrays]}"
+            )
+        stacked = np.column_stack(arrays)
+        t = stacked[:, 0]
+        if table.columns[0] == "t" and not np.all(t[1:] > t[:-1]):
+            raise ContractViolationError("time column must increase strictly")
+        table.rows = stacked.tolist()
+        return table
+
     def column(self, name):
         try:
             idx = self.columns.index(name)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ContractViolationError, SolverDivergenceError
 from .fdtools import central_jacobian
-from .models.state import PhaseState
+from .models.state import PhaseState, Trajectory
 from .models.systems import SeparableSystem
 from .series import SeriesTable
 
@@ -257,14 +257,19 @@ def step_count(h, t_end):
     return n_steps
 
 
-def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end, record_every=1):
-    """Run round(t_end / h) fixed steps from t = 0; return [(t_k, state_k)].
+def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end,
+              record_every=1) -> Trajectory:
+    """Run round(t_end / h) fixed steps from t = 0; return their Trajectory.
 
     Records every ``record_every``-th step plus, always, the initial and
-    final states.  If an implicit solve diverges at step k, or step k
-    leaves p or q non-finite, the raised SolverDivergenceError carries
-    ``step_index = k`` and the records collected so far in its
-    ``records`` attribute.
+    final states: row i of the trajectory's ``t``, ``p`` and ``q`` arrays
+    holds one recorded step, and ``trajectory[i]`` is the pair
+    (t_i, PhaseState).  The rows are preallocated and each recorded
+    step's p and q are copied into its row.  If an implicit solve
+    diverges at step k, or step k leaves p or q non-finite, the raised
+    SolverDivergenceError carries ``step_index = k`` and, in its
+    ``records`` attribute, the trajectory cut to the rows written before
+    step k.
     """
     _require_separable(sys)
     h = cfg.step_size
@@ -272,9 +277,18 @@ def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end
     record_every = int(record_every)
     if record_every < 1:
         raise ContractViolationError(f"record_every must be >= 1, got {record_every}")
+    if y0.dim != sys.dim:
+        raise ContractViolationError(f"y0 has dimension {y0.dim}, system expects {sys.dim}")
     kernel = resolve_method(method)
+    recorded = np.arange(0, n_steps + 1, record_every)
+    if recorded[-1] != n_steps:
+        recorded = np.append(recorded, n_steps)
+    times = recorded * h
+    ps = np.empty((times.size, y0.dim))
+    qs = np.empty((times.size, y0.dim))
+    ps[0], qs[0] = y0.p, y0.q
     p, q, g = y0.p.copy(), y0.q.copy(), None
-    records = [(0.0, PhaseState(p=p, q=q))]
+    row = 1
     # x.dot(zero) is nan exactly when x has an inf or nan entry (inf * 0 is
     # nan), which checks each step's result in two cheap calls.  Overflow
     # is then reported as the divergence it is, not as a warning.
@@ -287,11 +301,13 @@ def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end
                     raise SolverDivergenceError(f"step {k} left the state non-finite")
             except SolverDivergenceError as exc:
                 exc.step_index = k
-                exc.records = records
+                exc.records = Trajectory(times[:row], ps[:row], qs[:row])
                 raise
             if k % record_every == 0 or k == n_steps:
-                records.append((k * h, PhaseState(p=p, q=q)))
-    return records
+                ps[row] = p
+                qs[row] = q
+                row += 1
+    return Trajectory(times, ps, qs)
 
 
 def canonical_two_form(dim):

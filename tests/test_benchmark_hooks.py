@@ -80,3 +80,8 @@ def test_traced_hamiltonian_jobs_compute_every_note(tmp_path):
                  "models.energy_calls", "oscillatory.near_pairs", "harness.csv_bytes"):
         assert metrics[name] > 0, name
     assert metrics["symplectic.divergences"] == 1  # solar --method implicit-euler
+    # One eval_H call per record of the solar and Kepler jobs (3 + 2 + 5 + 21),
+    # and every CSV row: those 31, plus 101 (FPU), 5 (Klein-Gordon) and 126
+    # (scan).  A change to how records or energies are counted shows here.
+    assert metrics["models.energy_calls"] == 31
+    assert metrics["harness.csv_rows"] == 263

@@ -1,6 +1,8 @@
 """Experiment registry, CSV emission, convergence fits, and the CLI."""
 
+import dataclasses
 import io
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from geomint import oscillatory
 from geomint.errors import ContractViolationError, RankDeficiencyError
 from geomint.harness import cli, convergence, csvio, experiments
 from geomint.series import SeriesTable
@@ -68,6 +73,37 @@ def test_round_trip_is_byte_identical():
     second = io.StringIO()
     csvio.emit_csv(parsed, second)
     assert second.getvalue() == first.getvalue()
+
+
+# Values a table may hold: any double (subnormals, +-inf, nan and -0.0
+# included), integers and bools.
+_CSV_VALUE = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
+    st.integers(-(2**64), 2**64),
+    st.booleans(),
+)
+
+
+@given(rows=st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(_CSV_VALUE, min_size=n, max_size=n), min_size=1, max_size=8)))
+def test_emitted_rows_are_format_value_joined_and_parse_back(rows):
+    table = SeriesTable([f"c{j}" for j in range(len(rows[0]))])
+    for row in rows:
+        table.append(row)
+    buf = io.StringIO()
+    csvio.emit_csv(table, buf)
+    text = buf.getvalue()
+    assert text.split("\n")[1:] == [",".join(csvio.format_value(x) for x in row)
+                                    for row in rows] + [""]
+    parsed = csvio.parse_csv(io.StringIO(text))
+    assert len(parsed) == len(rows)
+    for row, back in zip(rows, parsed.rows):
+        for x, y in zip(map(float, row), back):
+            if math.isnan(x):
+                assert math.isnan(y)
+            else:
+                assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
 
 
 def test_parse_rejects_bad_input():
@@ -255,9 +291,28 @@ def test_kepler_divergence_writes_its_partial_csv(tmp_path, capsys):
     assert table.column("t").tolist() == [0.0, 0.5, 1.0]  # steps 0, 10 and 20
 
 
-def test_resonant_step_error_is_a_contract_violation(tmp_path, capsys):
-    # h * omega = 2e306: the screen's distance to multiples of pi means
-    # nothing at that size, and the kernel's sinc check refuses the step.
+def test_unresolvable_step_product_is_refused_by_the_screen(tmp_path, capsys):
+    # h * omega = 2e306: neighbouring doubles lie far more than sqrt(h)
+    # apart there, so the screen cannot tell a resonance and refuses.
+    dest = tmp_path / "x.csv"
+    code = cli.main(["run", "fpu-exchange", "--param", "omega=1e308", "--output", str(dest)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "step size 0.02 is resonant for fpu-chain-m3" in err
+    assert "too large for that distance to be resolved" in err
+    assert "Traceback" not in err
+    assert not dest.exists()
+
+
+def test_resonant_step_error_is_a_contract_violation(tmp_path, capsys, monkeypatch):
+    # With the screen made to admit h * omega = 2e306, the kernel's sinc
+    # check refuses the step.
+    screen = oscillatory.resonance_report
+
+    def admit(sys, h, n_sum_terms=1):
+        return dataclasses.replace(screen(sys, h, n_sum_terms), admissible=True)
+
+    monkeypatch.setattr(oscillatory, "resonance_report", admit)
     dest = tmp_path / "x.csv"
     code = cli.main(["run", "fpu-exchange", "--param", "omega=1e308", "--output", str(dest)])
     err = capsys.readouterr().err

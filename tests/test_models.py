@@ -246,6 +246,7 @@ def test_strip_coupling_removes_potential():
     q = np.random.default_rng(1).standard_normal(sys.dim)
     assert lin.eval_U(q) == 0.0
     assert np.all(lin.grad_U(q) == 0.0)
+    assert np.array_equal(lin.eval_U(np.ones((4, sys.dim))), np.zeros(4))
     assert np.array_equal(lin.frequencies, sys.frequencies)
 
 

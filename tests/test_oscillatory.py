@@ -11,7 +11,7 @@ from geomint.errors import (
     InadmissibleStepError,
     ResonantStepError,
 )
-from geomint.models import PhaseState
+from geomint.models import PhaseState, Trajectory
 from geomint.oscillatory import (
     FILTERS,
     FilterPair,
@@ -29,6 +29,11 @@ MOLLIFIED = FILTERS["trig-mollified"]()
 IMPULSE = FILTERS["trig-impulse"]()
 
 
+def no_coupling(q):
+    """U = 0 on the last axis of q, as eval_U's contract asks."""
+    return np.zeros(np.shape(q)[:-1])
+
+
 def fpu(m=3, omega=50.0):
     return models.make_fpu_chain(m, omega)
 
@@ -37,7 +42,7 @@ def single_oscillator(omega):
     return OscillatorySystem(
         frequencies=[omega],
         block_dims=[1],
-        eval_U=lambda q: 0.0,
+        eval_U=no_coupling,
         grad_U=lambda q: np.zeros(1),
     )
 
@@ -58,7 +63,7 @@ def test_zero_frequency_reduces_to_verlet():
     sys = OscillatorySystem(
         frequencies=[0.0],
         block_dims=[2],
-        eval_U=lambda q: float(np.sum(q**4)) / 4.0,
+        eval_U=lambda q: np.sum(q**4, axis=-1) / 4.0,
         grad_U=lambda q: q**3,
     )
     rng = np.random.default_rng(4)
@@ -154,7 +159,23 @@ def test_energy_table_matches_per_record_energies_bit_for_bit(model, size, n_rec
     records = [(0.5 * k, PhaseState(p=scale * rng.standard_normal(sys.dim),
                                     q=scale * rng.standard_normal(sys.dim)))
                for k in range(n_records)]
-    assert energy_table(sys, records).rows == _energy_table_by_record(sys, records)
+    trajectory = Trajectory(t=[t for t, _ in records], p=[s.p for _, s in records],
+                            q=[s.q for _, s in records])
+    assert energy_table(sys, trajectory).rows == _energy_table_by_record(sys, records)
+
+
+@given(model=st.sampled_from(["fpu", "klein-gordon"]), size=st.integers(1, 6),
+       n=st.integers(1, 30), scale=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_eval_U_of_a_stack_equals_its_rows_bit_for_bit(model, size, n, scale, seed):
+    # FPU m = 1..6, Klein-Gordon K = 4..9.
+    if model == "fpu":
+        sys, _ = models.make_fpu_chain(size, 50.0)
+    else:
+        sys, _ = models.make_klein_gordon(size + 3, 0.5, 0.1)
+    q = scale * np.random.default_rng(seed).standard_normal((n, sys.dim))
+    stacked = sys.eval_U(q)
+    assert stacked.shape == (n,)
+    assert stacked.tolist() == [float(sys.eval_U(row)) for row in q]
 
 
 # ----------------------------------------------------------------- resonance
@@ -169,7 +190,7 @@ def test_near_resonant_pairs_match_a_brute_force_search(freqs, slow, h, n_sum_te
     sys = OscillatorySystem(
         frequencies=frequencies,
         block_dims=[1] * len(frequencies),
-        eval_U=lambda q: 0.0,
+        eval_U=no_coupling,
         grad_U=lambda q: np.zeros(len(frequencies)),
     )
     rep = resonance_report(sys, h, n_sum_terms=n_sum_terms)
@@ -202,7 +223,7 @@ def test_resonance_report_flags_frequency_ratios():
     sys = OscillatorySystem(
         frequencies=[0.0, 50.0, 100.0],
         block_dims=[1, 1, 1],
-        eval_U=lambda q: 0.0,
+        eval_U=no_coupling,
         grad_U=lambda q: np.zeros(3),
     )
     rep = resonance_report(sys, 0.02, n_sum_terms=2)
@@ -316,10 +337,10 @@ def test_integrate_validations():
 def test_oscillatory_system_frequency_layout():
     with pytest.raises(ContractViolationError):
         OscillatorySystem(frequencies=[-1.0], block_dims=[1],
-                          eval_U=lambda q: 0.0, grad_U=lambda q: np.zeros(1))
+                          eval_U=no_coupling, grad_U=lambda q: np.zeros(1))
     with pytest.raises(ContractViolationError):
         OscillatorySystem(frequencies=[0.0, 0.0], block_dims=[1, 1],
-                          eval_U=lambda q: 0.0, grad_U=lambda q: np.zeros(2))
+                          eval_U=no_coupling, grad_U=lambda q: np.zeros(2))
 
 
 def test_step_requires_oscillatory_system():

@@ -107,6 +107,12 @@ def test_record_every_larger_than_run():
     assert len(records) == 2
     assert records[0][0] == 0.0
     assert records[-1][0] == pytest.approx(1.0, abs=1e-12)
+    # A record_every that does not divide the n = 10 steps: rows at steps
+    # 0, 3, 6, 9 and the final one, n // k + 2 in all, the last at n * h.
+    records = integrate(HARMONIC, "stormer-verlet", cfg(0.1), UNIT, 1.0, record_every=3)
+    assert len(records) == 10 // 3 + 2
+    assert records.t.tolist() == [0.0, 3 * 0.1, 6 * 0.1, 9 * 0.1, 10 * 0.1]
+    assert records[-1][0] == 10 * 0.1
 
 
 def test_verlet_closes_harmonic_period():
@@ -185,8 +191,12 @@ def test_blow_up_is_a_divergence_with_the_step_and_partial_records():
     with pytest.raises(SolverDivergenceError, match="non-finite") as info:
         integrate(HARMONIC, "explicit-euler", cfg(10.0), UNIT, 1e4)
     assert info.value.step_index == 308
-    assert len(info.value.records) == 308
-    assert info.value.records[-1][0] == 3070.0
+    records = info.value.records
+    assert len(records) == 308
+    assert records[-1][0] == 3070.0
+    # The rows written before step 308, and no uninitialised tail.
+    assert records.t[-1] == 3070.0 and records.p.shape == records.q.shape == (308, 1)
+    assert np.isfinite(records.p).all() and np.isfinite(records.q).all()
 
 
 @pytest.mark.parametrize("bad", [(0, np.inf), (0, -np.inf), (1, np.nan)], ids=["p-inf", "p-minus-inf", "q-nan"])
