@@ -5,12 +5,17 @@
                 [--config FILE] [--param key=value ...]
     geomint list
 
-Exit status: 0 success, 1 usage error, 2 contract violation (bad domain,
-inadmissible or resonant step size, more than symplectic.MAX_STEPS
-steps), 3 solver divergence or any other numerical failure (a partial CSV
-is still written when the experiment returns its rows), 4 I/O failure.
-A config file holds flat ``key = value`` lines mirroring the flags;
-command-line flags win.
+Exit status: 0 success; 1 usage error: argv or config-file lines that do
+not parse into flags or key/value pairs; 2 contract violation: any value
+the registry or a model refuses (an unknown experiment, a method the
+experiment does not offer or any method for one that takes none, a value
+that does not convert to its type, a bad domain, an inadmissible or
+resonant step size, more than symplectic.MAX_STEPS steps); 3 solver
+divergence or any other numerical failure (a partial CSV is still written
+when the experiment returns its rows); 4 I/O failure.  A config file holds
+flat ``key = value`` lines mirroring the flags; command-line flags win.
+The CLI only parses: ExperimentConfig converts the values, checks them
+and fills in the experiment's defaults.
 """
 
 from __future__ import annotations
@@ -28,16 +33,9 @@ EXIT_CONTRACT = 2
 EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
-_CONFIG_KEYS = {
-    "method": "method",
-    "h": "h",
-    "t-end": "t_end",
-    "t_end": "t_end",
-    "record-every": "record_every",
-    "record_every": "record_every",
-    "output": "output",
-    "seed": "seed",
-}
+# Config-file keys mirroring the flags ("t-end" or "t_end" alike); every
+# other key is a model parameter.
+_CONFIG_KEYS = ("method", "h", "t_end", "record_every", "output", "seed")
 
 
 class _UsageError(Exception):
@@ -55,11 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a registered experiment")
     run_p.add_argument("experiment", help="experiment identifier (see 'geomint list')")
     run_p.add_argument("--method", help="integrator identifier")
-    run_p.add_argument("--h", type=float, help="step size")
-    run_p.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    run_p.add_argument("--record-every", dest="record_every", type=int, help="record every k-th step")
+    run_p.add_argument("--h", help="step size")
+    run_p.add_argument("--t-end", dest="t_end", help="final time")
+    run_p.add_argument("--record-every", dest="record_every", help="record every k-th step")
     run_p.add_argument("--output", help="CSV destination (default <experiment>.csv)")
-    run_p.add_argument("--seed", type=int, help="seed for randomized diagnostics")
+    run_p.add_argument("--seed", help="seed for randomized diagnostics")
     run_p.add_argument("--config", help="flat key = value file mirroring the flags")
     run_p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                        help="model parameter override (repeatable)")
@@ -80,8 +78,9 @@ def _parse_config_file(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if not key or not value:
                 raise _UsageError(f"{path}:{lineno}: empty key or value")
-            if key in _CONFIG_KEYS:
-                values[_CONFIG_KEYS[key]] = value
+            name = key.replace("-", "_")
+            if name in _CONFIG_KEYS:
+                values[name] = value
             else:
                 params[key] = value
     return values, params
@@ -112,50 +111,18 @@ def _list_experiments(stream):
 
 
 def _build_config(args):
-    if args.experiment not in EXPERIMENTS:
-        raise _UsageError(
-            f"unknown experiment {args.experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}"
-        )
-    spec = EXPERIMENTS[args.experiment]
-
-    file_values, file_params = ({}, {})
+    """Flags laid over the config file's lines; ExperimentConfig validates,
+    converts and fills in the defaults."""
+    given, params = ({}, {})
     if args.config:
-        file_values, file_params = _parse_config_file(args.config)
-
-    def pick(name, cast):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return cast(file_values[name])
-        return spec.defaults.get(name)
-
-    method = pick("method", str)
-    if spec.methods:
-        if method not in spec.methods:
-            raise _UsageError(
-                f"method {method!r} not valid for {args.experiment}; "
-                f"use one of: {', '.join(spec.methods)}"
-            )
-    elif args.method is not None or "method" in file_values:
-        raise _UsageError(f"experiment {args.experiment} does not take --method")
-
-    params = dict(file_params)
+        given, params = _parse_config_file(args.config)
+    for key in _CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            given[key] = getattr(args, key)
     for item in args.param:
         key, value = _split_param(item)
         params[key] = value
-
-    seed = pick("seed", int)
-    return ExperimentConfig(
-        experiment=args.experiment,
-        method=method,
-        h=pick("h", float),
-        t_end=pick("t_end", float),
-        record_every=pick("record_every", int),
-        params=params,
-        output=args.output or file_values.get("output"),
-        seed=0 if seed is None else int(seed),
-    )
+    return ExperimentConfig(experiment=args.experiment, params=params, **given)
 
 
 def _run(args, stdout, stderr):

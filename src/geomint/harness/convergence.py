@@ -44,11 +44,16 @@ def _validate_h_list(h_list):
     return h
 
 
+def kepler_stepper(method, h):
+    """StepperConfig of a Kepler run: implicit Euler solves its position
+    equation by Newton's method; no other method has a solve."""
+    return symplectic.StepperConfig(
+        step_size=h, solver="newton" if method == "implicit-euler" else "fixed-point")
+
+
 def _kepler_final(method, h, t_end, y0, sys):
-    solver = "newton" if method in ("implicit-euler",) else "fixed-point"
-    cfg = symplectic.StepperConfig(step_size=h, solver=solver)
-    n_steps = max(1, int(round(t_end / h)))
-    records = symplectic.integrate(sys, method, cfg, y0, t_end, record_every=n_steps)
+    records = symplectic.integrate(sys, method, kepler_stepper(method, h), y0, t_end,
+                                   record_every=max(1, symplectic.step_count(h, t_end)))
     return records[-1][1].flat()
 
 
@@ -65,7 +70,7 @@ def _kepler_errors(method, h_values, t_end):
 def _lowrank_final(flow, y0, method, h, t_end, substeps):
     records = lowrank.integrate_lowrank(
         flow, y0, 0.0, t_end, h, method=method,
-        substeps=substeps, record_every=max(1, int(round(t_end / h))),
+        substeps=substeps, record_every=max(1, symplectic.step_count(h, t_end)),
     )
     return lowrank.to_full(records[-1].factors)
 

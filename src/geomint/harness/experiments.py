@@ -27,56 +27,81 @@ from ..models.solar import heliocentric_distances
 from ..models.systems import oscillatory_energies  # noqa: F401 -- perfbench's tracer patches this name
 from ..series import SeriesTable
 from .convergence import (KEPLER_METHODS, LOWRANK_METHODS, LOWRANK_STEPPERS, convergence_table,
-                          observed_order)
+                          kepler_stepper, observed_order)
 
 TRIG_METHODS = tuple(sorted(oscillatory.FILTERS))
 
 
+def _convert(name, value, kind):
+    """``value`` as ``kind`` (int, float or str), whether it comes as text
+    from argv or a config file or as a number; ContractViolationError when
+    it does not convert ('abc' for a float, '1.5' or 1.5 for an int)."""
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None or (kind is int and not isinstance(value, str) and converted != value):
+        raise ContractViolationError(f"{name} must be {kind.__name__}, got {value!r}")
+    return converted
+
+
 @dataclass
 class ExperimentConfig:
+    """A validated run of a registered experiment; the one place that knows
+    a config.
+
+    An unset (None) method, h, t_end or record_every takes the experiment's
+    default.  Refused with ContractViolationError: an unknown experiment, a
+    method the experiment does not offer (any method, for one that takes
+    none), an unknown parameter, a value that does not convert to its
+    field's or parameter default's type, h or t_end <= 0, record_every < 1
+    and seed < 0.
+    """
+
     experiment: str
-    method: Optional[str]
-    h: float
-    t_end: float
-    record_every: int = 1
+    method: Optional[str] = None
+    h: Optional[float] = None
+    t_end: Optional[float] = None
+    record_every: Optional[int] = None
     params: dict = field(default_factory=dict)
     output: Optional[str] = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        spec = EXPERIMENTS.get(self.experiment)
+        if spec is None:
             raise ContractViolationError(
-                f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
+                f"unknown experiment {self.experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}"
             )
-        spec = EXPERIMENTS[self.experiment]
+        for name in ("method", "h", "t_end", "record_every"):
+            if getattr(self, name) is None:
+                setattr(self, name, spec.defaults[name])
+        if not spec.methods and self.method is not None:
+            raise ContractViolationError(
+                f"experiment {self.experiment} takes no method, got {self.method!r}")
         if spec.methods and self.method not in spec.methods:
             raise ContractViolationError(
-                f"method {self.method!r} not valid for {self.experiment}; use one of {spec.methods}"
+                f"method {self.method!r} not valid for {self.experiment}; "
+                f"use one of: {', '.join(spec.methods)}"
             )
-        if not (float(self.h) > 0.0 and float(self.t_end) > 0.0):
+        self.h = _convert("h", self.h, float)
+        self.t_end = _convert("t_end", self.t_end, float)
+        self.record_every = _convert("record_every", self.record_every, int)
+        self.seed = _convert("seed", self.seed, int)
+        if not (self.h > 0.0 and self.t_end > 0.0):
             raise ContractViolationError(f"h and t_end must be positive, got {self.h}, {self.t_end}")
-        if int(self.record_every) < 1:
+        if self.record_every < 1:
             raise ContractViolationError(f"record_every must be >= 1, got {self.record_every}")
+        if self.seed < 0:
+            raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
         unknown = set(self.params) - set(spec.params)
         if unknown:
             raise ContractViolationError(
                 f"unknown parameter(s) {sorted(unknown)} for {self.experiment}; "
                 f"known: {sorted(spec.params)}"
             )
-        merged = dict(spec.params)
-        for key, value in self.params.items():
-            default = merged[key]
-            if isinstance(default, int) and not isinstance(default, bool):
-                merged[key] = int(value)
-            elif isinstance(default, float):
-                merged[key] = float(value)
-            else:
-                merged[key] = str(value)
-        self.params = merged
-        self.h = float(self.h)
-        self.t_end = float(self.t_end)
-        self.record_every = int(self.record_every)
-        self.seed = int(self.seed)
+        self.params = {key: _convert(key, self.params.get(key, default), type(default))
+                       for key, default in spec.params.items()}
 
 
 @dataclass
@@ -102,7 +127,7 @@ def _integrate_until_divergence(sys, cfg: ExperimentConfig, stepper, y0):
                                           record_every=cfg.record_every)
     except SolverDivergenceError as exc:
         return exc.records, {"diverged_at_step": exc.step_index, "steps": exc.step_index}, True
-    return trajectory, {"steps": int(round(cfg.t_end / cfg.h))}, False
+    return trajectory, {"steps": symplectic.step_count(cfg.h, cfg.t_end)}, False
 
 
 def _run_solar(cfg: ExperimentConfig) -> ExperimentResult:
@@ -121,9 +146,8 @@ def _run_solar(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_kepler_longtime(cfg: ExperimentConfig) -> ExperimentResult:
     sys, y0 = make_kepler(cfg.params["eccentricity"])
-    solver = "newton" if cfg.method == "implicit-euler" else "fixed-point"
-    stepper = symplectic.StepperConfig(step_size=cfg.h, solver=solver)
-    trajectory, summary, diverged = _integrate_until_divergence(sys, cfg, stepper, y0)
+    trajectory, summary, diverged = _integrate_until_divergence(
+        sys, cfg, kepler_stepper(cfg.method, cfg.h), y0)
     h_vals, rel = _energy_columns(trajectory, sys.eval_H)
     ell = angular_momentum_2d(trajectory)
     l_drift = ell - ell[0]
@@ -143,22 +167,29 @@ def _run_fpu_exchange(cfg: ExperimentConfig) -> ExperimentResult:
         filters=oscillatory.FILTERS[cfg.method](),
         record_every=cfg.record_every,
     )
+    swings = []
+    for j in range(1, m + 1):
+        e = table.column(f"E_{j}")
+        swings.append(np.max(np.abs(e - e[0])))
     h_omega = table.column("H_omega")
-    swings = [np.max(np.abs(table.column(f"E_{j}") - table.column(f"E_{j}")[0]))
-              for j in range(1, m + 1)]
+    h_omega_drift = np.max(np.abs(h_omega - h_omega[0]))
     summary = {
-        "steps": int(round(cfg.t_end / cfg.h)),
+        "steps": symplectic.step_count(cfg.h, cfg.t_end),
         "max_rel_H_err": float(np.max(np.abs(table.column("H_rel_drift")))),
-        "h_omega_drift": float(np.max(np.abs(h_omega - h_omega[0]))),
+        "h_omega_drift": float(h_omega_drift),
         "max_mode_swing": float(max(swings)),
-        "headline": f"max_mode_swing={max(swings):.3g} h_omega_drift={np.max(np.abs(h_omega - h_omega[0])):.3g}",
+        "headline": f"max_mode_swing={max(swings):.3g} h_omega_drift={h_omega_drift:.3g}",
     }
     return ExperimentResult(table, summary)
 
 
 def _run_fpu_resonance_scan(cfg: ExperimentConfig) -> ExperimentResult:
     sys, _ = make_fpu_chain(cfg.params["m"], cfg.params["omega"])
-    h_grid = np.linspace(cfg.params["h_min"], cfg.params["h_max"], cfg.params["n_points"])
+    h_min, h_max, n_points = cfg.params["h_min"], cfg.params["h_max"], cfg.params["n_points"]
+    if n_points < 1 or not np.isfinite(h_max - h_min):
+        raise ContractViolationError(
+            f"the scan needs finite h_min, h_max and n_points >= 1, got {h_min}, {h_max}, {n_points}")
+    h_grid = np.linspace(h_min, h_max, n_points)
     table = SeriesTable(["h", "h_omega", "freq_distance", "threshold", "admissible", "n_near_pairs"])
     n_admissible = 0
     for h in h_grid:
@@ -186,11 +217,12 @@ def _run_klein_gordon(cfg: ExperimentConfig) -> ExperimentResult:
     table = oscillatory.run_screened(sys, y0, oscillatory.FILTERS[cfg.method](), cfg.h,
                                      cfg.t_end, record_every=cfg.record_every)
     slope = mode_decay_slope(table, len(table) - 1, j_max=min(10, n_modes))
+    max_rel_h_err = np.max(np.abs(table.column("H_rel_drift")))
     summary = {
-        "steps": int(round(cfg.t_end / cfg.h)),
-        "max_rel_H_err": float(np.max(np.abs(table.column("H_rel_drift")))),
+        "steps": symplectic.step_count(cfg.h, cfg.t_end),
+        "max_rel_H_err": float(max_rel_h_err),
         "final_decay_slope": slope,
-        "headline": f"decay_slope={slope:.3g} max_rel_H_err={np.max(np.abs(table.column('H_rel_drift'))):.3g}",
+        "headline": f"decay_slope={slope:.3g} max_rel_H_err={max_rel_h_err:.3g}",
     }
     return ExperimentResult(table, summary)
 
@@ -219,7 +251,7 @@ def _run_lowrank_exactness(cfg: ExperimentConfig) -> ExperimentResult:
     for rec1, rec3 in zip(runs["rank1"], runs["rank3"]):
         table.append([rec1.t, rec1.error, rec1.best_error, rec3.error, rec3.best_error])
     summary = {
-        "steps": int(round(cfg.t_end / cfg.h)),
+        "steps": symplectic.step_count(cfg.h, cfg.t_end),
         "final_error_rank1": runs["rank1"][-1].error,
         "final_error_rank3": runs["rank3"][-1].error,
         "headline": (f"final_error_rank1={runs['rank1'][-1].error:.3g} "
@@ -229,7 +261,7 @@ def _run_lowrank_exactness(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_lowrank_robustness(cfg: ExperimentConfig) -> ExperimentResult:
-    floors = [int(x) for x in str(cfg.params["floors"]).split(",") if x.strip()]
+    floors = [_convert("floors", x, int) for x in cfg.params["floors"].split(",") if x.strip()]
     table = lowrank.robustness_benchmark(
         sv_floor_exponents=floors,
         rank=cfg.params["rank"],
@@ -242,7 +274,7 @@ def _run_lowrank_robustness(cfg: ExperimentConfig) -> ExperimentResult:
     )
     envelope_ok = bool(np.all(table.column("within_envelope") == 1.0))
     summary = {
-        "steps": int(round(cfg.t_end / cfg.h)) * len(floors),
+        "steps": symplectic.step_count(cfg.h, cfg.t_end) * len(floors),
         "max_ksl_error": float(np.max(table.column("ksl_error"))),
         "all_within_envelope": envelope_ok,
         "headline": (f"max_ksl_error={np.max(table.column('ksl_error')):.3g} "

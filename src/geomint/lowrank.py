@@ -43,7 +43,7 @@ from .errors import (
     SolverDivergenceError,
 )
 from .series import SeriesTable
-from .symplectic import MAX_STEPS
+from .symplectic import step_count
 
 _ORTHO_TOL = 1e-10
 
@@ -176,7 +176,9 @@ def _simpson_rule(t, span, substeps):
 
 
 def _check_columns(mat, substep):
-    norms = np.linalg.norm(mat, axis=0)
+    # A norm that overflows is the divergence reported below, not a warning.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=0)
     if not np.all(np.isfinite(norms)):
         raise SolverDivergenceError(f"{substep} substep overflowed: its result is not finite")
     if np.any(norms == 0.0):
@@ -297,28 +299,10 @@ def _record(flow, y, t):
     return LowRankRecord(t=t, factors=y, sigma=sigma, curvature=curvature, error=error, best_error=best)
 
 
-def _step_count(t0, t_end, h):
-    """round((t_end - t0) / h); refuses h <= 0, t_end < t0, zero steps on a
-    nonempty interval and more than MAX_STEPS steps."""
-    if h <= 0.0:
-        raise ContractViolationError(f"h must be positive, got {h}")
-    if t_end < t0:
-        raise ContractViolationError(f"t_end {t_end} is before t0 {t0}")
-    ratio = (t_end - t0) / h
-    if not ratio <= MAX_STEPS:
-        raise ContractViolationError(
-            f"(t_end - t0) / h = {ratio:.3g} steps; at most MAX_STEPS = {MAX_STEPS:.0e} are taken"
-        )
-    n_steps = int(round(ratio))
-    if n_steps == 0 and t_end != t0:
-        raise ContractViolationError(f"h {h} too large for the interval [{t0}, {t_end}]")
-    return n_steps
-
-
 def integrate_lowrank(flow, y0, t0, t_end, h, method="lie", substeps=10, record_every=1):
     """Fixed-step rank-constrained run; returns a list of LowRankRecord.
 
-    round((t_end - t0) / h) steps; the initial and final states are
+    step_count(h, t_end - t0) steps; the initial and final states are
     always recorded.  t_end == t0 yields the single initial record.  If
     step k overflows, the raised SolverDivergenceError carries
     ``step_index = k`` and the records collected so far in ``records``.
@@ -327,7 +311,7 @@ def integrate_lowrank(flow, y0, t0, t_end, h, method="lie", substeps=10, record_
         stepper = _STEPPERS[method]
     except KeyError:
         raise ContractViolationError(f"method must be one of {sorted(_STEPPERS)}, got {method!r}") from None
-    n_steps = _step_count(t0, t_end, h)
+    n_steps = step_count(h, t_end - t0)
     record_every = int(record_every)
     if record_every < 1:
         raise ContractViolationError(f"record_every must be >= 1, got {record_every}")
@@ -373,7 +357,7 @@ def integrate_naive_gauge(flow, y0, t0, t_end, h):
     Raises SolverDivergenceError on overflow or a singular core, which
     for ill-conditioned S is the expected outcome.
     """
-    n_steps = _step_count(t0, t_end, h)
+    n_steps = step_count(h, t_end - t0)
     (m, n), r = y0.shape, y0.rank
     pack = lambda mats: np.concatenate([a.ravel() for a in mats])
 
@@ -443,6 +427,8 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
         raise ContractViolationError(f"rotating_flow needs m, n >= 2, got {m}x{n}")
     if r0 > min(m, n):
         raise ContractViolationError(f"{r0} diagonal values do not fit a {m}x{n} matrix")
+    if not np.isfinite(speed):
+        raise ContractViolationError(f"speed must be finite, got {speed}")
     d = np.zeros((m, n))
     d[:r0, :r0] = np.diag(d_vals)
     rng = np.random.default_rng(seed)
@@ -520,11 +506,14 @@ def robustness_benchmark(
     for f in sv_floor_exponents:
         d_vals = np.maximum(2.0 ** -np.arange(1, 41), 2.0**-f)
         d_vals[rank:] *= tail_scale
+        if rank < 40 and not abs(d_vals[rank]) <= d_vals[rank - 1]:
+            raise ContractViolationError(
+                f"tail_scale {tail_scale} lifts the discarded values above the retained ones")
         flow = rotating_flow(d_vals, seed=seed, y_dependent=False, speed=speed)
         y0 = factorize(np.diag(d_vals), rank)
         records = integrate_lowrank(
             flow, y0, 0.0, t_end, h, method="lie", substeps=substeps,
-            record_every=max(1, int(round(t_end / h))),
+            record_every=max(1, step_count(h, t_end)),
         )
         ksl_error = records[-1].error
         best = float(np.sqrt(np.sum(d_vals[rank:] ** 2)))

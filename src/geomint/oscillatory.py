@@ -233,6 +233,7 @@ class ResonanceReport:
     near_resonant_pairs: np.ndarray  # (n, 2) rows a < b: |sum_values[a] - sum_values[b]| < threshold
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceReport:
     """Screen step size ``h`` against the frequencies of ``sys``.
 
@@ -240,7 +241,8 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
     from the nearest multiple of pi, except that a product below sqrt(h)
     (an oscillation fully resolved by the step) is admissible.  A product
     whose spacing of doubles (np.spacing) is sqrt(h) or more is never
-    admissible: its distance to a multiple of pi means nothing there.  Sum rule:
+    admissible: its distance to a multiple of pi means nothing there (an
+    overflowing product is refused too, without a RuntimeWarning).  Sum rule:
     signed sums of at most ``n_sum_terms + 1`` of the h*omega_j must stay
     sqrt(h) away from nonzero multiples of 2*pi.  Pairs of sums closer
     than sqrt(h) to each other are reported as near-resonant combinations

@@ -234,42 +234,42 @@ def resolve_method(method: MethodSpec):
     raise ContractViolationError(f"cannot interpret method {method!r}")
 
 
-def step_count(h, t_end):
-    """round(t_end / h), the number of fixed steps integrate() takes.
+def step_count(h, span):
+    """round(span / h), the number of fixed steps of size h over an interval
+    of length ``span``: 0 for an empty interval.  The one step counter of
+    integrate(), the low-rank integrators and the harness.
 
-    Refuses h <= 0, t_end <= 0, a step longer than the interval and more
-    than MAX_STEPS steps (ContractViolationError).
+    Refuses h <= 0, span < 0, a nonempty interval shorter than half a step
+    and more than MAX_STEPS steps (ContractViolationError).
     """
     if not h > 0.0:
-        raise ContractViolationError(f"integrate needs step_size > 0, got {h}")
-    if not t_end > 0.0:
-        raise ContractViolationError(f"integrate needs t_end > 0, got {t_end}")
-    ratio = t_end / h
+        raise ContractViolationError(f"step size must be > 0, got {h}")
+    if not span >= 0.0:
+        raise ContractViolationError(f"interval length must be >= 0, got {span}")
+    ratio = span / h
     if not ratio <= MAX_STEPS:
         raise ContractViolationError(
-            f"t_end / h = {ratio:.3g} steps; at most MAX_STEPS = {MAX_STEPS:.0e} are taken"
+            f"{span} / {h} = {ratio:.3g} steps; at most MAX_STEPS = {MAX_STEPS:.0e} are taken"
         )
     n_steps = int(round(ratio))
-    if n_steps < 1:
-        raise ContractViolationError(
-            f"round(t_end / h) = {n_steps}; step size {h} too large for t_end {t_end}"
-        )
+    if n_steps == 0 and span > 0.0:
+        raise ContractViolationError(f"step size {h} too large for an interval of length {span}")
     return n_steps
 
 
 def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end,
               record_every=1) -> Trajectory:
-    """Run round(t_end / h) fixed steps from t = 0; return their Trajectory.
+    """Run step_count(h, t_end) fixed steps from t = 0; return their Trajectory.
 
     Records every ``record_every``-th step plus, always, the initial and
-    final states: row i of the trajectory's ``t``, ``p`` and ``q`` arrays
-    holds one recorded step, and ``trajectory[i]`` is the pair
-    (t_i, PhaseState).  The rows are preallocated and each recorded
-    step's p and q are copied into its row.  If an implicit solve
-    diverges at step k, or step k leaves p or q non-finite, the raised
-    SolverDivergenceError carries ``step_index = k`` and, in its
-    ``records`` attribute, the trajectory cut to the rows written before
-    step k.
+    final states (t_end = 0 yields the single row of y0): row i of the
+    trajectory's ``t``, ``p`` and ``q`` arrays holds one recorded step,
+    and ``trajectory[i]`` is the pair (t_i, PhaseState).  The rows are
+    preallocated and each recorded step's p and q are copied into its
+    row.  If an implicit solve diverges at step k, or step k leaves p or
+    q non-finite, the raised SolverDivergenceError carries
+    ``step_index = k`` and, in its ``records`` attribute, the trajectory
+    cut to the rows written before step k.
     """
     _require_separable(sys)
     h = cfg.step_size

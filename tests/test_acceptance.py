@@ -23,11 +23,8 @@ def report(capsys, number, name, passed, detail):
 
 
 def run(experiment, **overrides):
-    spec = experiments.EXPERIMENTS[experiment]
-    kwargs = dict(spec.defaults)
-    kwargs.update(overrides)
     return experiments.run_experiment(
-        experiments.ExperimentConfig(experiment=experiment, **kwargs))
+        experiments.ExperimentConfig(experiment=experiment, **overrides))
 
 
 def test_criterion_01_symplecticity_defects(capsys):

@@ -1,17 +1,19 @@
 """Experiment registry, CSV emission, convergence fits, and the CLI."""
 
+import contextlib
 import dataclasses
 import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomint import oscillatory
@@ -157,6 +159,17 @@ def test_unknown_experiment_rejected():
 def test_wrong_method_for_experiment():
     with pytest.raises(ContractViolationError):
         experiments.ExperimentConfig(experiment="solar", method="ksl", h=100.0, t_end=1000.0)
+    with pytest.raises(ContractViolationError, match="convergence-orders takes no method"):
+        experiments.ExperimentConfig(experiment="convergence-orders", method="ksl")
+
+
+@pytest.mark.parametrize("name", sorted(experiments.EXPERIMENTS))
+def test_registry_defaults_validate(name):
+    spec = experiments.EXPERIMENTS[name]
+    cfg = experiments.ExperimentConfig(experiment=name)
+    assert {key: getattr(cfg, key) for key in spec.defaults} == spec.defaults
+    assert cfg.params == spec.params
+    assert (cfg.output, cfg.seed) == (None, 0)
 
 
 def test_nonpositive_step_rejected():
@@ -234,19 +247,50 @@ def test_energy_table_headers(tmp_path, experiment, modes):
     assert header == ",".join(["t", *modes, "H_omega", "H_slow", "H", "H_rel_drift"])
 
 
-def test_unknown_experiment_is_usage_error(capsys):
-    assert cli.main(["run", "warp-drive", "--h", "1", "--t-end", "1"]) == 1
+def test_unknown_experiment_is_contract_violation(tmp_path, capsys):
+    dest = tmp_path / "x.csv"
+    assert cli.main(["run", "warp-drive", "--h", "1", "--t-end", "1", "--output", str(dest)]) == 2
+    assert "unknown experiment 'warp-drive'" in capsys.readouterr().err
+    assert not dest.exists()
 
 
 def test_unknown_flag_is_usage_error():
     assert cli.main(["run", "solar", "--speed", "9"]) == 1
 
 
-def test_method_on_methodless_experiment_is_usage_error():
-    assert cli.main([
-        "run", "fpu-resonance-scan", "--method", "stormer-verlet",
-        "--h", "0.02", "--t-end", "1",
-    ]) == 1
+@pytest.mark.parametrize("experiment, method", [
+    ("fpu-resonance-scan", "stormer-verlet"),  # takes no method
+    ("solar", "ksl"),  # not one of its methods
+])
+def test_refused_method_is_contract_violation(tmp_path, capsys, experiment, method):
+    dest = tmp_path / "x.csv"
+    assert cli.main(["run", experiment, "--method", method, "--h", "0.02", "--t-end", "1",
+                     "--output", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert f"{experiment} takes no method" in err or f"not valid for {experiment}" in err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("args, config", [
+    (["fpu-exchange", "--param", "m=abc"], None),
+    (["fpu-exchange", "--param", "m=1.5"], None),
+    (["kepler-longtime", "--param", "eccentricity=x"], None),
+    (["kepler-longtime"], "h = abc"),
+    (["lowrank-exactness"], "seed = x"),
+    (["kepler-longtime"], "record-every = 2.5"),
+    (["lowrank-robustness", "--param", "floors=a,b"], None),
+    (["kepler-longtime", "--h", "abc"], None),
+])
+def test_value_that_does_not_convert_is_contract_violation(tmp_path, capsys, args, config):
+    dest = tmp_path / "x.csv"
+    argv = ["run", *args, "--output", str(dest)]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "contract violation" in err and "Traceback" not in err
+    assert not dest.exists()
 
 
 def test_contract_violation_maps_to_exit_two(tmp_path):
@@ -390,3 +434,76 @@ def test_cli_output_is_reproducible(tmp_path):
         return dest.read_bytes()
 
     assert run("a.csv") == run("b.csv")
+
+
+# -------------------------------------------------------------------- CLI fuzz
+
+# Bounded values: runs take at most about 100 steps, a drawn FPU m or
+# Klein-Gordon modes is at most 8 (the resonance screen's pair matrix grows
+# like m**4), and convergence-orders always draws short step ladders.  Each
+# example spoils at most one value with text that does not convert or lies
+# out of range, so every refusal is reached on its own.
+_FUZZ_FLAGS = {"--t-end": ("0.2", "1"), "--h": ("0.02", "0.1"), "--record-every": ("1", "3"),
+               "--seed": ("0", "7")}
+_FUZZ_PARAMS = {
+    "kepler-longtime": {"eccentricity": ("0.3", "0.95")},
+    "fpu-exchange": {"m": ("1", "3", "8"), "omega": ("20", "1e308")},
+    "fpu-resonance-scan": {"m": ("2", "8"), "omega": ("50",), "h_min": ("0.01",),
+                           "h_max": ("0.1",), "n_points": ("1", "5")},
+    "klein-gordon-decay": {"modes": ("4", "8"), "rho": ("0.5", "2"), "eps": ("0.1", "10")},
+    "lowrank-exactness": {"substeps": ("1", "3")},
+    "lowrank-robustness": {"rank": ("1", "3"), "floors": ("10", "10,40"),
+                           "tail_scale": ("1", "1e-6"), "substeps": ("1", "2"),
+                           "speed": ("1", "40")},
+    "convergence-orders": {"kepler_h0": ("0.1",), "lowrank_h0": ("0.1",), "levels": ("3",),
+                           "substeps": ("1", "2")},
+}
+_FUZZ_BAD = ("abc", "1.5", "-1", "0", "nan", "inf", "1e300", "1e-300", "a,b", "ksl")
+
+
+@st.composite
+def _cli_argvs(draw):
+    name = draw(st.sampled_from([*sorted(experiments.EXPERIMENTS), "warp-drive"]))
+    spec = experiments.EXPERIMENTS.get(name)
+    pools = dict(_FUZZ_FLAGS)
+    if spec and spec.methods:
+        pools["--method"] = spec.methods
+    pools.update((f"--param {key}", good) for key, good in _FUZZ_PARAMS.get(name, {}).items())
+    values = {key: draw(st.sampled_from(good)) for key, good in pools.items()
+              if key == "--t-end" or (name == "convergence-orders" and key.startswith("--param"))
+              or draw(st.booleans())}
+    spoiled = draw(st.sampled_from([None, *sorted({"--method", *pools})]))
+    if spoiled is not None:
+        values[spoiled] = draw(st.sampled_from(_FUZZ_BAD))
+    argv = ["run", name]
+    for key, value in values.items():
+        flag, _, param = key.partition(" ")
+        argv += [flag, f"{param}={value}" if param else value]
+    if draw(st.integers(0, 9)) == 0:
+        argv += draw(st.sampled_from((["--param", "spin=1"], ["--param", "m"], ["--speed", "9"])))
+    return argv
+
+
+@given(argv=_cli_argvs())
+@example(argv=["run", "solar", "--method", "implicit-euler", "--t-end", "2000"])
+@example(argv=["run", "fpu-resonance-scan", "--t-end", "1", "--param", "n_points=-1"])
+@example(argv=["run", "lowrank-robustness", "--t-end", "0.2", "--param", "tail_scale=1e300"])
+@example(argv=["run", "lowrank-robustness", "--t-end", "0.2", "--param", "speed=1e300"])
+@example(argv=["run", "lowrank-exactness", "--t-end", "0.2", "--seed", "-1"])
+@settings(max_examples=150)
+def test_cli_fuzz_keeps_the_exit_code_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        dest = Path(tmp) / "out.csv"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--output", str(dest)])
+        assert code in (0, 1, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not dest.exists()
+        if code == 3:
+            # A run that returns its rows reports status=diverged and writes
+            # them; one whose divergence escapes the experiment writes none.
+            diverged = "status=diverged" in out.getvalue()
+            assert dest.exists() == diverged, err.getvalue()
+            assert diverged or "geomint: solver diverged:" in err.getvalue()

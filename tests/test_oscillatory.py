@@ -1,5 +1,7 @@
 """Filtered trigonometric stepping for systems with fast harmonic blocks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -216,6 +218,17 @@ def test_resonance_report_resonant_step():
     sys, _ = fpu()
     rep = resonance_report(sys, np.pi / 50.0)
     assert np.all(rep.freq_distances <= 1e-12)
+    assert not rep.admissible
+
+
+def test_overflowing_step_product_is_refused_without_a_warning():
+    # h * omega overflows to inf; pyproject turns a RuntimeWarning into an
+    # error, and this makes the check independent of that setting.
+    sys, _ = models.make_fpu_chain(3, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = resonance_report(sys, 2.0)
+    assert np.all(np.isinf(rep.h_omega))
     assert not rep.admissible
 
 

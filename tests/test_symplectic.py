@@ -130,6 +130,14 @@ def test_verlet_kepler_self_convergence():
     assert diff <= 1e-5
 
 
+def test_empty_interval_takes_no_steps():
+    assert symplectic.step_count(0.1, 0.0) == 0
+    records = integrate(HARMONIC, "stormer-verlet", cfg(0.1), UNIT, 0.0)
+    assert len(records) == 1
+    assert records.t.tolist() == [0.0]
+    assert np.array_equal(records.p[0], UNIT.p) and np.array_equal(records.q[0], UNIT.q)
+
+
 def test_integrate_validations():
     with pytest.raises(ContractViolationError):
         integrate(HARMONIC, "stormer-verlet", cfg(0.1), UNIT, -1.0)
