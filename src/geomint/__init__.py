@@ -10,9 +10,7 @@ from .errors import (
     ContractViolationError,
     GeomintError,
     InadmissibleStepError,
-    RankDeficiencyError,
     ResonantStepError,
-    SingularCoreError,
     SolverDivergenceError,
 )
 from .series import SeriesTable
@@ -31,8 +29,6 @@ __all__ = [
     "InadmissibleStepError",
     "ResonantStepError",
     "SolverDivergenceError",
-    "RankDeficiencyError",
-    "SingularCoreError",
     "SeriesTable",
     "__version__",
 ]

@@ -3,8 +3,10 @@
 The command line harness maps these onto process exit codes, so the
 hierarchy matters: anything that is the caller's fault (bad arguments,
 violated preconditions, inadmissible step sizes) derives from
-ContractViolationError, while runtime numerical failures get their own
-classes.
+ContractViolationError, while a numerical failure at run time (a solve
+that does not converge, a step that overflows) is a SolverDivergenceError.
+A low-rank run whose factors lose rank is neither: the splitting
+integrator carries a singular core on.
 """
 
 
@@ -40,9 +42,9 @@ class ResonantStepError(ContractViolationError):
 
 
 class SolverDivergenceError(GeomintError):
-    """An implicit solve failed to converge.
+    """An implicit solve failed to converge, or a step left finite values.
 
-    Attributes record how far the solve got so callers can log the
+    Attributes record how far the run got so callers can log the
     failure as an experimental outcome instead of a crash.
     """
 
@@ -51,15 +53,3 @@ class SolverDivergenceError(GeomintError):
         self.iterations = iterations
         self.residual = residual
         self.step_index = step_index
-
-
-class RankDeficiencyError(GeomintError):
-    """A low-rank factor lost column rank during a substep."""
-
-    def __init__(self, message, substep=None):
-        super().__init__(message)
-        self.substep = substep
-
-
-class SingularCoreError(GeomintError):
-    """The core factor of a low-rank representation is exactly singular."""

@@ -7,8 +7,8 @@
 
 Exit status: 0 success; 1 usage error: argv or config-file lines that do
 not parse into flags or key/value pairs; 2 contract violation: any value
-the registry or a model refuses (an unknown experiment, a method the
-experiment does not offer or any method for one that takes none, a value
+the registry or a model refuses (an unknown experiment, a flag the
+experiment does not read, a method the experiment does not offer, a value
 that does not convert to its type, a bad domain, an inadmissible or
 resonant step size, more than symplectic.MAX_STEPS steps); 3 solver
 divergence or any other numerical failure (a partial CSV is still written
@@ -100,13 +100,14 @@ def _list_experiments(stream):
     for name in sorted(EXPERIMENTS):
         spec = EXPERIMENTS[name]
         stream.write(f"{name:<{width}}  {spec.description}\n")
-        defaults = " ".join(f"{k}={v}" for k, v in spec.defaults.items() if v is not None)
         if spec.methods:
             stream.write(f"{'':<{width}}  methods: {', '.join(spec.methods)}\n")
         if spec.params:
             params = " ".join(f"{k}={v}" for k, v in spec.params.items())
             stream.write(f"{'':<{width}}  params: {params}\n")
-        stream.write(f"{'':<{width}}  defaults: {defaults}\n")
+        if spec.defaults:  # the fields the experiment reads
+            defaults = " ".join(f"{k}={v}" for k, v in spec.defaults.items())
+            stream.write(f"{'':<{width}}  defaults: {defaults}\n")
     return EXIT_OK
 
 

@@ -16,16 +16,8 @@ from ..errors import ContractViolationError
 from ..models.simple import make_kepler
 from ..series import SeriesTable
 
-KEPLER_METHODS = (
-    "explicit-euler",
-    "implicit-euler",
-    "symplectic-euler-qp",
-    "symplectic-euler-pq",
-    "stormer-verlet",
-)
-# Method id -> integrate_lowrank method.
-LOWRANK_STEPPERS = {"ksl": "lie", "ksl-strang": "strang"}
-LOWRANK_METHODS = tuple(LOWRANK_STEPPERS)
+KEPLER_METHODS = tuple(symplectic.METHOD_IDS)
+LOWRANK_METHODS = tuple(lowrank._STEPPERS)
 _REFERENCE_REFINEMENT = 20
 
 
@@ -84,10 +76,9 @@ def _lowrank_errors(method, h_values, t_end, substeps, seed):
     flow = lowrank.rotating_flow(d_vals, seed=seed, y_dependent=False)
     y0 = lowrank.factorize(np.diag(d_vals), 4)
     h_ref = h_values[-1] / _REFERENCE_REFINEMENT
-    reference = _lowrank_final(flow, y0, "strang", h_ref, t_end, substeps)
-    key = LOWRANK_STEPPERS[method]
+    reference = _lowrank_final(flow, y0, "ksl-strang", h_ref, t_end, substeps)
     return [
-        float(np.linalg.norm(_lowrank_final(flow, y0, key, h, t_end, substeps) - reference))
+        float(np.linalg.norm(_lowrank_final(flow, y0, method, h, t_end, substeps) - reference))
         for h in h_values
     ]
 

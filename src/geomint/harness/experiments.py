@@ -26,8 +26,8 @@ from ..models.simple import angular_momentum_2d
 from ..models.solar import heliocentric_distances
 from ..models.systems import oscillatory_energies  # noqa: F401 -- perfbench's tracer patches this name
 from ..series import SeriesTable
-from .convergence import (KEPLER_METHODS, LOWRANK_METHODS, LOWRANK_STEPPERS, convergence_table,
-                          kepler_stepper, observed_order)
+from .convergence import (KEPLER_METHODS, LOWRANK_METHODS, convergence_table, kepler_stepper,
+                          observed_order)
 
 TRIG_METHODS = tuple(sorted(oscillatory.FILTERS))
 
@@ -45,15 +45,21 @@ def _convert(name, value, kind):
     return converted
 
 
+# The fields a run may read, with their types; each experiment's spec
+# lists the ones its runner reads.
+_FIELDS = {"method": str, "h": float, "t_end": float, "record_every": int, "seed": int}
+
+
 @dataclass
 class ExperimentConfig:
     """A validated run of a registered experiment; the one place that knows
     a config.
 
-    An unset (None) method, h, t_end or record_every takes the experiment's
-    default.  Refused with ContractViolationError: an unknown experiment, a
-    method the experiment does not offer (any method, for one that takes
-    none), an unknown parameter, a value that does not convert to its
+    A field the experiment reads (a key of its spec's defaults) takes the
+    default when unset (None); a field it does not read stays None.
+    Refused with ContractViolationError: an unknown experiment, a given
+    field the experiment does not read, a method the experiment does not
+    offer, an unknown parameter, a value that does not convert to its
     field's or parameter default's type, h or t_end <= 0, record_every < 1
     and seed < 0.
     """
@@ -65,7 +71,7 @@ class ExperimentConfig:
     record_every: Optional[int] = None
     params: dict = field(default_factory=dict)
     output: Optional[str] = None
-    seed: int = 0
+    seed: Optional[int] = None
 
     def __post_init__(self):
         spec = EXPERIMENTS.get(self.experiment)
@@ -73,26 +79,22 @@ class ExperimentConfig:
             raise ContractViolationError(
                 f"unknown experiment {self.experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}"
             )
-        for name in ("method", "h", "t_end", "record_every"):
-            if getattr(self, name) is None:
-                setattr(self, name, spec.defaults[name])
-        if not spec.methods and self.method is not None:
-            raise ContractViolationError(
-                f"experiment {self.experiment} takes no method, got {self.method!r}")
-        if spec.methods and self.method not in spec.methods:
+        for name, kind in _FIELDS.items():
+            value = getattr(self, name)
+            if name in spec.defaults:
+                setattr(self, name, _convert(name, spec.defaults[name] if value is None else value, kind))
+            elif value is not None:
+                raise ContractViolationError(f"experiment {self.experiment} takes no {name}, got {value!r}")
+        if self.method is not None and self.method not in spec.methods:
             raise ContractViolationError(
                 f"method {self.method!r} not valid for {self.experiment}; "
                 f"use one of: {', '.join(spec.methods)}"
             )
-        self.h = _convert("h", self.h, float)
-        self.t_end = _convert("t_end", self.t_end, float)
-        self.record_every = _convert("record_every", self.record_every, int)
-        self.seed = _convert("seed", self.seed, int)
-        if not (self.h > 0.0 and self.t_end > 0.0):
+        if not all(x is None or x > 0.0 for x in (self.h, self.t_end)):
             raise ContractViolationError(f"h and t_end must be positive, got {self.h}, {self.t_end}")
-        if self.record_every < 1:
+        if self.record_every is not None and self.record_every < 1:
             raise ContractViolationError(f"record_every must be >= 1, got {self.record_every}")
-        if self.seed < 0:
+        if self.seed is not None and self.seed < 0:
             raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
         unknown = set(self.params) - set(spec.params)
         if unknown:
@@ -237,14 +239,13 @@ def mode_decay_slope(table: SeriesTable, row_index, j_min=2, j_max=10) -> float:
 
 
 def _run_lowrank_exactness(cfg: ExperimentConfig) -> ExperimentResult:
-    method = LOWRANK_STEPPERS[cfg.method]
     substeps = cfg.params["substeps"]
     runs = {}
     for label, diag in (("rank1", [1.0]), ("rank3", [1.0, 0.5, 0.25])):
         flow = lowrank.rotating_flow(diag, m=12, n=10, seed=cfg.seed, y_dependent=False)
         y0 = lowrank.factorize(flow.exact_A(0.0), len(diag))
         runs[label] = lowrank.integrate_lowrank(
-            flow, y0, 0.0, cfg.t_end, cfg.h, method=method,
+            flow, y0, 0.0, cfg.t_end, cfg.h, method=cfg.method,
             substeps=substeps, record_every=cfg.record_every,
         )
     table = SeriesTable(["t", "error_rank1", "best_rank1", "error_rank3", "best_rank3"])
@@ -271,6 +272,7 @@ def _run_lowrank_robustness(cfg: ExperimentConfig) -> ExperimentResult:
         seed=cfg.seed,
         tail_scale=cfg.params["tail_scale"],
         speed=cfg.params["speed"],
+        method=cfg.method,
     )
     envelope_ok = bool(np.all(table.column("within_envelope") == 1.0))
     summary = {
@@ -314,7 +316,7 @@ def _run_convergence_orders(cfg: ExperimentConfig) -> ExperimentResult:
 class ExperimentSpec:
     runner: Callable
     methods: tuple  # empty when the experiment takes no method
-    defaults: dict  # method, h, t_end, record_every
+    defaults: dict  # the fields of _FIELDS its runner reads, with their defaults
     params: dict  # model parameters with their default values
     description: str
 
@@ -344,7 +346,7 @@ EXPERIMENTS = {
     "fpu-resonance-scan": ExperimentSpec(
         runner=_run_fpu_resonance_scan,
         methods=(),
-        defaults={"method": None, "h": 0.02, "t_end": 1.0, "record_every": 1},
+        defaults={},
         params={"m": 3, "omega": 50.0, "h_min": 0.005, "h_max": 0.13, "n_points": 126},
         description="step-size admissibility sweep for the spring chain",
     ),
@@ -358,14 +360,14 @@ EXPERIMENTS = {
     "lowrank-exactness": ExperimentSpec(
         runner=_run_lowrank_exactness,
         methods=LOWRANK_METHODS,
-        defaults={"method": "ksl", "h": 0.05, "t_end": 1.0, "record_every": 1},
+        defaults={"method": "ksl", "h": 0.05, "t_end": 1.0, "record_every": 1, "seed": 0},
         params={"substeps": 10},
         description="splitting integrator on exactly low-rank solution families",
     ),
     "lowrank-robustness": ExperimentSpec(
         runner=_run_lowrank_robustness,
         methods=LOWRANK_METHODS,
-        defaults={"method": "ksl", "h": 0.01, "t_end": 1.0, "record_every": 1},
+        defaults={"method": "ksl", "h": 0.01, "t_end": 1.0, "seed": 0},
         params={"rank": 8, "floors": "10,20,30,40", "tail_scale": 1.0, "substeps": 10,
                 "speed": 40.0},
         description="error versus singular-value floor, with naive gauge contrast",
@@ -373,7 +375,7 @@ EXPERIMENTS = {
     "convergence-orders": ExperimentSpec(
         runner=_run_convergence_orders,
         methods=(),
-        defaults={"method": None, "h": 1.0, "t_end": 1.0, "record_every": 1},
+        defaults={"t_end": 1.0, "seed": 0},
         params={"kepler_h0": 0.01, "lowrank_h0": 0.2, "levels": 4, "substeps": 10},
         description="observed orders for every integrator by step halving",
     ),

@@ -201,8 +201,8 @@ def step_stormer_verlet(sys, cfg: StepperConfig, y: PhaseState) -> PhaseState:
 METHOD_IDS = {
     "explicit-euler": partial(_euler_kernel, EXPLICIT_EULER),
     "implicit-euler": partial(_euler_kernel, IMPLICIT_EULER),
-    "symplectic-euler-pq": partial(_euler_kernel, SYMPLECTIC_EULER_PQ),
     "symplectic-euler-qp": partial(_euler_kernel, SYMPLECTIC_EULER_QP),
+    "symplectic-euler-pq": partial(_euler_kernel, SYMPLECTIC_EULER_PQ),
     "stormer-verlet": _verlet_kernel,
 }
 

@@ -1,14 +1,17 @@
-"""The benchmark's span tracer still finds every name it patches, and what it
-reads from the results still works.
+"""The benchmark's span tracer and set-up probe still find every name they
+patch, and what the tracer reads from the results still works.
 
 ``perfbench/tracer.py`` wraps geomint's callables from outside the package,
 looking each one up by name (``experiments.oscillatory_energies``,
 ``oscillatory.make_fpu_chain``, ...), and takes notes from some results
-(``len(report.near_resonant_pairs)``, the CSV size).  A refactor that drops or
-renames one of those names, or changes a result's shape, would otherwise only
-show up in a traced benchmark run.
+(``len(report.near_resonant_pairs)``, the CSV size).  ``perfbench/setup_probe.py``
+replaces the model and flow builders (``lowrank.factorize``,
+``experiments.make_kepler``, ...) in the warm-up pass of every untraced run.  A
+refactor that drops or renames one of those names, or changes a result's
+shape, would otherwise only show up in a benchmark run.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -54,6 +57,23 @@ def test_tracer_installs_and_restores_every_original():
         tracer.uninstall()
     for owner, key, original in patched:
         assert _lookup(owner, key) is original, key
+
+
+def test_setup_probe_replaces_and_restores_every_builder(tmp_path):
+    # Every untraced benchmark run records the builders' calls this way in
+    # its warm-up pass; a builder renamed in geomint would break them all.
+    probe = _load_perfbench_module("setup_probe")
+    owners = [(importlib.import_module(module), name) for module, name in probe.BUILDERS]
+    originals = [getattr(owner, name) for owner, name in owners]
+    calls = []
+    with probe.record_builds(calls):
+        for (owner, name), original in zip(owners, originals):
+            assert getattr(owner, name) is not original, name
+        argv = ["run", "lowrank-exactness", "--t-end", "0.1", "--output", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 0
+    for (owner, name), original in zip(owners, originals):
+        assert getattr(owner, name) is original, name
+    assert calls
 
 
 def test_traced_hamiltonian_jobs_compute_every_note(tmp_path):

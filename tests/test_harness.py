@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomint import oscillatory
-from geomint.errors import ContractViolationError, RankDeficiencyError
+from geomint.errors import ContractViolationError, GeomintError
 from geomint.harness import cli, convergence, csvio, experiments
 from geomint.series import SeriesTable
 
@@ -167,9 +167,10 @@ def test_wrong_method_for_experiment():
 def test_registry_defaults_validate(name):
     spec = experiments.EXPERIMENTS[name]
     cfg = experiments.ExperimentConfig(experiment=name)
-    assert {key: getattr(cfg, key) for key in spec.defaults} == spec.defaults
+    assert {key: getattr(cfg, key) for key in experiments._FIELDS} == {
+        key: spec.defaults.get(key) for key in experiments._FIELDS}
     assert cfg.params == spec.params
-    assert (cfg.output, cfg.seed) == (None, 0)
+    assert cfg.output is None
 
 
 def test_nonpositive_step_rejected():
@@ -305,6 +306,36 @@ def test_contract_violation_maps_to_exit_two(tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("experiment, flag, value", [
+    *[("fpu-resonance-scan", flag, value)
+      for flag, value in (("--h", "0.02"), ("--t-end", "1"), ("--record-every", "1"), ("--seed", "0"))],
+    ("convergence-orders", "--h", "1"),
+    ("convergence-orders", "--record-every", "1"),
+    ("lowrank-robustness", "--record-every", "1"),
+    *[(name, "--seed", "3") for name in ("solar", "kepler-longtime", "fpu-exchange",
+                                         "klein-gordon-decay")],
+])
+def test_flag_the_experiment_does_not_read_is_contract_violation(tmp_path, capsys, experiment,
+                                                                 flag, value):
+    dest = tmp_path / "x.csv"
+    assert cli.main(["run", experiment, flag, value, "--output", str(dest)]) == 2
+    assert f"{experiment} takes no {flag[2:].replace('-', '_')}" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+def test_robustness_runs_the_chosen_method(tmp_path, capsys):
+    errors = {}
+    for method in ("ksl", "ksl-strang"):
+        dest = tmp_path / f"{method}.csv"
+        assert cli.main(["run", "lowrank-robustness", "--method", method, "--param", "floors=10",
+                         "--t-end", "0.2", "--output", str(dest)]) == 0
+        assert "envelope=ok" in capsys.readouterr().out
+        table = csvio.parse_csv(dest)
+        assert table.column("within_envelope").tolist() == [1.0]
+        errors[method] = table.column("ksl_error")[0]
+    assert errors["ksl"] != errors["ksl-strang"]
+
+
 def test_record_every_zero_is_contract_violation(tmp_path):
     dest = tmp_path / "solar.csv"
     assert cli.main(["run", "solar", "--record-every", "0", "--output", str(dest)]) == 2
@@ -368,12 +399,12 @@ def test_resonant_step_error_is_a_contract_violation(tmp_path, capsys, monkeypat
 
 def test_other_library_errors_map_to_exit_three(tmp_path, capsys, monkeypatch):
     def fail(config):
-        raise RankDeficiencyError("K factor lost rank", substep="K")
+        raise GeomintError("K factor lost rank")
 
     monkeypatch.setattr(cli, "run_experiment", fail)
     code = cli.main(["run", "lowrank-exactness", "--output", str(tmp_path / "x.csv")])
     assert code == 3
-    assert "RankDeficiencyError: K factor lost rank" in capsys.readouterr().err
+    assert "GeomintError: K factor lost rank" in capsys.readouterr().err
 
 
 def test_step_ceiling_exits_two_at_once(tmp_path, capsys):
@@ -440,9 +471,11 @@ def test_cli_output_is_reproducible(tmp_path):
 
 # Bounded values: runs take at most about 100 steps, a drawn FPU m or
 # Klein-Gordon modes is at most 8 (the resonance screen's pair matrix grows
-# like m**4), and convergence-orders always draws short step ladders.  Each
-# example spoils at most one value with text that does not convert or lies
-# out of range, so every refusal is reached on its own.
+# like m**4), and convergence-orders always draws short step ladders.  A flag
+# is drawn only for an experiment that reads its field, and --t-end always
+# is.  Each example spoils at most one value with text that does not convert
+# or lies out of range, or adds a flag the experiment does not read, so every
+# refusal is reached on its own.
 _FUZZ_FLAGS = {"--t-end": ("0.2", "1"), "--h": ("0.02", "0.1"), "--record-every": ("1", "3"),
                "--seed": ("0", "7")}
 _FUZZ_PARAMS = {
@@ -461,32 +494,42 @@ _FUZZ_PARAMS = {
 _FUZZ_BAD = ("abc", "1.5", "-1", "0", "nan", "inf", "1e300", "1e-300", "a,b", "ksl")
 
 
+def _unread_flags(argv):
+    """The flags in ``argv`` whose field the experiment does not read."""
+    spec = experiments.EXPERIMENTS.get(argv[1])
+    return [arg for arg in argv[2:] if spec and arg in _FUZZ_FLAGS
+            and arg[2:].replace("-", "_") not in spec.defaults]
+
+
 @st.composite
 def _cli_argvs(draw):
     name = draw(st.sampled_from([*sorted(experiments.EXPERIMENTS), "warp-drive"]))
     spec = experiments.EXPERIMENTS.get(name)
-    pools = dict(_FUZZ_FLAGS)
+    unread = _unread_flags(["run", name, *_FUZZ_FLAGS])
+    pools = {flag: good for flag, good in _FUZZ_FLAGS.items() if flag not in unread}
     if spec and spec.methods:
         pools["--method"] = spec.methods
     pools.update((f"--param {key}", good) for key, good in _FUZZ_PARAMS.get(name, {}).items())
     values = {key: draw(st.sampled_from(good)) for key, good in pools.items()
               if key == "--t-end" or (name == "convergence-orders" and key.startswith("--param"))
               or draw(st.booleans())}
-    spoiled = draw(st.sampled_from([None, *sorted({"--method", *pools})]))
-    if spoiled is not None:
+    spoiled = draw(st.sampled_from([None, *sorted({"--method", *pools}), *unread]))
+    if spoiled in unread:
+        values[spoiled] = draw(st.sampled_from(_FUZZ_FLAGS[spoiled]))
+    elif spoiled is not None:
         values[spoiled] = draw(st.sampled_from(_FUZZ_BAD))
     argv = ["run", name]
     for key, value in values.items():
         flag, _, param = key.partition(" ")
         argv += [flag, f"{param}={value}" if param else value]
-    if draw(st.integers(0, 9)) == 0:
+    if spoiled not in unread and draw(st.integers(0, 9)) == 0:
         argv += draw(st.sampled_from((["--param", "spin=1"], ["--param", "m"], ["--speed", "9"])))
     return argv
 
 
 @given(argv=_cli_argvs())
 @example(argv=["run", "solar", "--method", "implicit-euler", "--t-end", "2000"])
-@example(argv=["run", "fpu-resonance-scan", "--t-end", "1", "--param", "n_points=-1"])
+@example(argv=["run", "fpu-resonance-scan", "--param", "n_points=-1"])
 @example(argv=["run", "lowrank-robustness", "--t-end", "0.2", "--param", "tail_scale=1e300"])
 @example(argv=["run", "lowrank-robustness", "--t-end", "0.2", "--param", "speed=1e300"])
 @example(argv=["run", "lowrank-exactness", "--t-end", "0.2", "--seed", "-1"])
@@ -499,6 +542,8 @@ def test_cli_fuzz_keeps_the_exit_code_contract(argv):
             code = cli.main([*argv, "--output", str(dest)])
         assert code in (0, 1, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        if _unread_flags(argv):
+            assert code == 2, err.getvalue()
         if code == 2:
             assert not dest.exists()
         if code == 3:

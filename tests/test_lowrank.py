@@ -8,16 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomint import lowrank
-from geomint.errors import (
-    ContractViolationError,
-    RankDeficiencyError,
-    SingularCoreError,
-    SolverDivergenceError,
-)
+from geomint.errors import ContractViolationError, SolverDivergenceError
 from geomint.lowrank import (
     LowRankFactors,
     MatrixFlow,
-    curvature_proxy,
     factorize,
     integrate_lowrank,
     integrate_naive_gauge,
@@ -115,13 +109,19 @@ def test_projection_dimension_mismatch():
         tangent_project(rank_one_2x2(), np.zeros((3, 3)))
 
 
-def test_curvature_proxy_values():
-    assert curvature_proxy(LowRankFactors(u=np.eye(2), s=np.diag([2.0, 0.5]), v=np.eye(2))) == pytest.approx(2.0)
-    assert curvature_proxy(LowRankFactors(u=np.eye(2), s=np.eye(2), v=np.eye(2))) == pytest.approx(1.0)
-    tiny = LowRankFactors(u=np.eye(2), s=np.diag([1.0, 1e-12]), v=np.eye(2))
-    assert curvature_proxy(tiny) == pytest.approx(1e12, rel=1e-6)
-    with pytest.raises(SingularCoreError):
-        curvature_proxy(LowRankFactors(u=np.eye(2), s=np.diag([1.0, 0.0]), v=np.eye(2)))
+def test_record_curvature_values():
+    # curvature = 1 / sigma_min(s), read from a one-record run.
+    flow = MatrixFlow(shape=(2, 2), eval_F=lambda t, z: np.zeros((2, 2)))
+
+    def curvature(s):
+        (record,) = integrate_lowrank(flow, LowRankFactors(u=np.eye(2), s=s, v=np.eye(2)),
+                                      0.0, 0.0, 0.1)
+        return record.curvature
+
+    assert curvature(np.diag([2.0, 0.5])) == pytest.approx(2.0)
+    assert curvature(np.eye(2)) == pytest.approx(1.0)
+    assert curvature(np.diag([1.0, 1e-12])) == pytest.approx(1e12, rel=1e-6)
+    assert curvature(np.diag([1.0, 0.0])) == np.inf
 
 
 # ------------------------------------------------------------- splitting step
@@ -170,12 +170,27 @@ def test_factors_stay_orthonormal_after_stepping():
     assert np.linalg.norm(y.v.T @ y.v - np.eye(r)) <= 1e-12
 
 
-def test_rank_collapse_names_the_substep():
+def test_zero_field_keeps_a_singular_core():
+    # S = diag(1, 0): the K and L substeps see an exactly zero column,
+    # which the thin QR completes to an orthonormal basis.
     y = LowRankFactors(u=np.eye(3)[:, :2], s=np.diag([1.0, 0.0]), v=np.eye(3)[:, :2])
     flow = MatrixFlow(shape=(3, 3), eval_F=lambda t, z: np.zeros((3, 3)))
-    with pytest.raises(RankDeficiencyError) as info:
-        ksl_step(flow, y, 0.0, 0.1)
-    assert info.value.substep == "K"
+    for stepper in (ksl_step, strang_step):
+        assert np.array_equal(to_full(stepper(flow, y, 0.0, 0.1)), to_full(y))
+
+
+@pytest.mark.parametrize("method", sorted(lowrank._STEPPERS))
+@pytest.mark.parametrize("y_dependent", [True, False])
+def test_over_approximated_ranks_stay_exact(method, y_dependent):
+    # The splitting is exact on families of rank at most r (Lubich &
+    # Oseledets, BIT 2014), including a rank-r start of a lower-rank matrix.
+    for diag in ([1.0], [1.0, 0.5], [1.0, 0.5, 0.25]):
+        flow = rotating_flow(diag, m=12, n=10, seed=3, y_dependent=y_dependent)
+        for r in range(max(2, len(diag)), 7):
+            y0 = factorize(flow.exact_A(0.0), r)
+            records = integrate_lowrank(flow, y0, 0.0, 1.0, 0.05, method=method)
+            assert len(records) == 21
+            assert max(rec.error for rec in records) <= 1e-10, (diag, r)
 
 
 def test_step_argument_validation():
@@ -196,7 +211,7 @@ def test_step_halving_shows_first_and_second_order():
                                  substeps=40, record_every=10**9)
         return to_full(recs[-1].factors)
 
-    for method, lo, hi in (("lie", 1.7, 2.3), ("strang", 3.4, 4.8)):
+    for method, lo, hi in (("ksl", 1.7, 2.3), ("ksl-strang", 3.4, 4.8)):
         ref = final(method, 1.0 / 1024)
         errs = [np.linalg.norm(final(method, h) - ref) for h in (0.25, 0.125, 0.0625)]
         for coarse, finer in zip(errs, errs[1:]):
@@ -345,8 +360,8 @@ def test_increment_steps_match_rk4_steps(args, t, turn, backward, substeps):
     flow = rotating_flow(diag, m=m, n=n, seed=seed, y_dependent=False, speed=speed)
     assert flow.increment is not None
     rk4_flow = replace(flow, increment=None)
-    # A rank above len(diag) would start from a singular core.
-    y = factorize(flow.exact_A(t), min(rank, len(diag)))
+    # A rank above len(diag) starts from a singular core.
+    y = factorize(flow.exact_A(t), rank)
     # A step turns the generators by at most one radian.
     h = -turn / speed if backward else turn / speed
     for stepper in (ksl_step, strang_step):
