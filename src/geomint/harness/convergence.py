@@ -46,7 +46,7 @@ def kepler_stepper(method, h):
 def _kepler_final(method, h, t_end, y0, sys):
     records = symplectic.integrate(sys, method, kepler_stepper(method, h), y0, t_end,
                                    record_every=max(1, symplectic.step_count(h, t_end)))
-    return records[-1][1].flat()
+    return np.concatenate([records.p[-1], records.q[-1]])
 
 
 def _kepler_errors(method, h_values, t_end):
@@ -104,14 +104,11 @@ def convergence_table(experiment, method, h_list, t_end=1.0, substeps=10, seed=0
         raise ContractViolationError(
             f"unknown convergence experiment {experiment!r}; use 'kepler' or 'lowrank-rotating'"
         )
-    table = SeriesTable(["h", "error", "order"])
-    for i, (h, err) in enumerate(zip(h_values, errors)):
-        if i == 0:
-            order = float("nan")
-        else:
-            order = float(np.log(errors[i - 1] / err) / np.log(h_values[i - 1] / h))
-        table.append([h, err, order])
-    return table
+    orders = [float("nan")] + [
+        float(np.log(errors[i - 1] / errors[i]) / np.log(h_values[i - 1] / h_values[i]))
+        for i in range(1, len(h_values))
+    ]
+    return SeriesTable(["h", "error", "order"], np.column_stack([h_values, errors, orders]))
 
 
 def observed_order(table: SeriesTable) -> float:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from ..errors import ContractViolationError
 from ..series import SeriesTable
 
@@ -38,7 +40,7 @@ def _write(table, stream):
     # it; rows go out one at a time, so no whole-file string is built.
     line = ",".join(["%.17g"] * len(table.columns)) + "\n"
     stream.write(",".join(table.columns) + "\n")
-    for row in table.rows:
+    for row in table.rows.tolist():
         stream.write(line % tuple(row))
 
 
@@ -51,16 +53,16 @@ def parse_csv(source) -> SeriesTable:
             lines = stream.read().splitlines()
     if not lines:
         raise ContractViolationError("empty CSV input")
-    table = SeriesTable(lines[0].split(","))
-    n_cols = len(table.columns)
+    columns = lines[0].split(",")
+    rows = []
     for k, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != n_cols:
-            raise ContractViolationError(f"line {k}: expected {n_cols} fields, got {len(parts)}")
+        if len(parts) != len(columns):
+            raise ContractViolationError(f"line {k}: expected {len(columns)} fields, got {len(parts)}")
         try:
-            table.append([float(p) for p in parts])
+            rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ContractViolationError(f"line {k}: {exc}") from None
-    return table
+    return SeriesTable(columns, np.reshape(rows, (-1, len(columns))))

@@ -137,9 +137,9 @@ def _run_solar(cfg: ExperimentConfig) -> ExperimentResult:
     stepper = symplectic.StepperConfig(step_size=cfg.h)
     trajectory, summary, diverged = _integrate_until_divergence(sys, cfg, stepper, y0)
     h_vals, rel = _energy_columns(trajectory, sys.eval_H)
-    table = SeriesTable.from_columns(
+    table = SeriesTable(
         ["t", "H", "rel_H_err", "r_J", "r_S", "r_U", "r_N", "r_P"],
-        [trajectory.t, h_vals, rel, *heliocentric_distances(data, trajectory).T],
+        np.column_stack([trajectory.t, h_vals, rel, heliocentric_distances(data, trajectory)]),
     )
     summary["max_rel_H_err"] = float(np.max(np.abs(rel)))
     summary["headline"] = f"max_rel_H_err={summary['max_rel_H_err']:.6g}"
@@ -153,8 +153,8 @@ def _run_kepler_longtime(cfg: ExperimentConfig) -> ExperimentResult:
     h_vals, rel = _energy_columns(trajectory, sys.eval_H)
     ell = angular_momentum_2d(trajectory)
     l_drift = ell - ell[0]
-    table = SeriesTable.from_columns(["t", "H", "rel_H_err", "L", "L_drift"],
-                                     [trajectory.t, h_vals, rel, ell, l_drift])
+    table = SeriesTable(["t", "H", "rel_H_err", "L", "L_drift"],
+                        np.column_stack([trajectory.t, h_vals, rel, ell, l_drift]))
     max_l_drift = float(np.max(np.abs(l_drift)))
     summary["max_rel_H_err"] = float(np.max(np.abs(rel)))
     summary["max_L_drift"] = max_l_drift
@@ -192,11 +192,11 @@ def _run_fpu_resonance_scan(cfg: ExperimentConfig) -> ExperimentResult:
         raise ContractViolationError(
             f"the scan needs finite h_min, h_max and n_points >= 1, got {h_min}, {h_max}, {n_points}")
     h_grid = np.linspace(h_min, h_max, n_points)
-    table = SeriesTable(["h", "h_omega", "freq_distance", "threshold", "admissible", "n_near_pairs"])
+    rows = []
     n_admissible = 0
     for h in h_grid:
         report = oscillatory.resonance_report(sys, float(h))
-        table.append([
+        rows.append([
             h,
             float(np.max(report.h_omega)) if report.h_omega.size else 0.0,
             float(np.min(report.freq_distances)) if report.freq_distances.size else float("inf"),
@@ -205,6 +205,8 @@ def _run_fpu_resonance_scan(cfg: ExperimentConfig) -> ExperimentResult:
             float(len(report.near_resonant_pairs)),
         ])
         n_admissible += int(report.admissible)
+    table = SeriesTable(["h", "h_omega", "freq_distance", "threshold", "admissible", "n_near_pairs"],
+                        rows)
     summary = {
         "steps": len(h_grid),
         "n_admissible": n_admissible,
@@ -232,7 +234,7 @@ def _run_klein_gordon(cfg: ExperimentConfig) -> ExperimentResult:
 def mode_decay_slope(table: SeriesTable, row_index, j_min=2, j_max=10) -> float:
     """Least-squares slope of log E_j versus mode number j at one row."""
     j_values = np.arange(j_min, j_max + 1)
-    energies = np.array([table.rows[row_index][table.columns.index(f"E_{j}")] for j in j_values])
+    energies = np.array([table.column(f"E_{j}")[row_index] for j in j_values])
     if np.any(energies <= 0.0):
         raise ContractViolationError("mode energies must be positive to fit a decay slope")
     return float(np.polyfit(j_values, np.log(energies), 1)[0])
@@ -248,9 +250,9 @@ def _run_lowrank_exactness(cfg: ExperimentConfig) -> ExperimentResult:
             flow, y0, 0.0, cfg.t_end, cfg.h, method=cfg.method,
             substeps=substeps, record_every=cfg.record_every,
         )
-    table = SeriesTable(["t", "error_rank1", "best_rank1", "error_rank3", "best_rank3"])
-    for rec1, rec3 in zip(runs["rank1"], runs["rank3"]):
-        table.append([rec1.t, rec1.error, rec1.best_error, rec3.error, rec3.best_error])
+    table = SeriesTable(["t", "error_rank1", "best_rank1", "error_rank3", "best_rank3"],
+                        [[rec1.t, rec1.error, rec1.best_error, rec3.error, rec3.best_error]
+                         for rec1, rec3 in zip(runs["rank1"], runs["rank3"])])
     summary = {
         "steps": symplectic.step_count(cfg.h, cfg.t_end),
         "final_error_rank1": runs["rank1"][-1].error,
@@ -263,6 +265,9 @@ def _run_lowrank_exactness(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_lowrank_robustness(cfg: ExperimentConfig) -> ExperimentResult:
     floors = [_convert("floors", x, int) for x in cfg.params["floors"].split(",") if x.strip()]
+    if not floors:
+        raise ContractViolationError(
+            f"floors must list at least one exponent, got {cfg.params['floors']!r}")
     table = lowrank.robustness_benchmark(
         sv_floor_exponents=floors,
         rank=cfg.params["rank"],
@@ -290,7 +295,7 @@ def _run_convergence_orders(cfg: ExperimentConfig) -> ExperimentResult:
     if levels < 3:
         raise ContractViolationError(f"levels must be >= 3, got {levels}")
     method_list = list(KEPLER_METHODS) + list(LOWRANK_METHODS)
-    table = SeriesTable(["method_index", "h", "error", "order"])
+    rows = []
     orders = {}
     for index, method in enumerate(method_list):
         if method in KEPLER_METHODS:
@@ -302,8 +307,8 @@ def _run_convergence_orders(cfg: ExperimentConfig) -> ExperimentResult:
                                     t_end=cfg.t_end, substeps=cfg.params["substeps"],
                                     seed=cfg.seed)
         orders[method] = observed_order(sub)
-        for row in sub.rows:
-            table.append([float(index), *row])
+        rows += [[float(index), *row] for row in sub.rows.tolist()]
+    table = SeriesTable(["method_index", "h", "error", "order"], rows)
     summary = {
         "steps": levels * len(method_list),
         "orders": {k: round(v, 3) for k, v in orders.items()},

@@ -481,10 +481,7 @@ def robustness_benchmark(
     """
     if rank < 1 or rank > 40:
         raise ContractViolationError(f"rank must be in [1, 40], got {rank}")
-    table = SeriesTable(
-        ["floor_exponent", "sigma_min_retained", "best_error", "ksl_error",
-         "naive_error", "within_envelope"]
-    )
+    rows = []
     for f in sv_floor_exponents:
         d_vals = np.maximum(2.0 ** -np.arange(1, 41), 2.0**-f)
         d_vals[rank:] *= tail_scale
@@ -506,7 +503,7 @@ def robustness_benchmark(
                 naive_error = np.inf
         except SolverDivergenceError:
             naive_error = np.inf
-        table.append([
+        rows.append([
             float(f),
             float(np.min(d_vals[:rank])),
             best,
@@ -514,4 +511,8 @@ def robustness_benchmark(
             naive_error,
             1.0 if ksl_error <= 10.0 * best + 10.0 * h else 0.0,
         ])
-    return table
+    return SeriesTable(
+        ["floor_exponent", "sigma_min_retained", "best_error", "ksl_error",
+         "naive_error", "within_envelope"],
+        rows,
+    )

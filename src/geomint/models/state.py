@@ -46,10 +46,8 @@ class PhaseState:
 class Trajectory:
     """Recorded states of a run: times ``t`` (n,), ``p`` and ``q`` (n, d).
 
-    Row i is the state at time t[i]; a trajectory holds at least one.
-    ``len`` and indexing keep the record-list view: ``trajectory[i]`` is
-    the pair (t_i, PhaseState), built on access, and iterating yields
-    those pairs in order.  Code that reads whole columns uses the arrays.
+    Row i is the state at time t[i]; a trajectory holds at least one, and
+    ``len`` counts them.  The final state is ``(p[-1], q[-1])``.
     """
 
     t: np.ndarray
@@ -73,10 +71,3 @@ class Trajectory:
 
     def __len__(self):
         return self.t.size
-
-    def __getitem__(self, i):
-        return float(self.t[i]), PhaseState(p=self.p[i], q=self.q[i])
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]

@@ -1,10 +1,10 @@
 """A minimal named-column table for experiment output.
 
 Every experiment and diagnostic in this package reports its results as a
-SeriesTable: an ordered list of column names plus rows of values.  Rows
-of a time series (first column named ``t``) must be strictly increasing
-in time; other tables (convergence studies, benchmark summaries) may
-order their first column however they like.
+SeriesTable: an ordered list of column names plus one read-only (n, k)
+float64 array of rows.  Rows of a time series (first column named ``t``)
+must be strictly increasing in time; other tables (convergence studies,
+benchmark summaries) may order their first column however they like.
 """
 
 from __future__ import annotations
@@ -15,54 +15,42 @@ from .errors import ContractViolationError
 
 
 class SeriesTable:
-    def __init__(self, columns):
+    """Columns ``columns`` over the read-only (n, k) float64 array ``rows``.
+
+    ``rows`` is anything numpy turns into an (n, len(columns)) float array:
+    a list of rows or a stacked array.  The table keeps its own read-only
+    copy, so ``rows[i]`` is record i and ``column(name)`` a read-only view.
+    Refused with ContractViolationError: no columns, duplicate names, rows
+    of another shape and a ``t`` column that does not increase strictly.
+    """
+
+    def __init__(self, columns, rows):
         columns = list(columns)
         if not columns:
             raise ContractViolationError("a SeriesTable needs at least one column")
         if len(set(columns)) != len(columns):
             raise ContractViolationError(f"duplicate column names in {columns}")
-        self.columns = columns
-        self.rows = []
-
-    def append(self, values):
-        values = list(values)
-        if len(values) != len(self.columns):
+        try:
+            rows = np.array(rows, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ContractViolationError(f"rows do not form an array of floats: {exc}") from None
+        if rows.ndim != 2 or rows.shape[1] != len(columns):
             raise ContractViolationError(
-                f"row has {len(values)} values, table has {len(self.columns)} columns"
+                f"rows must have shape (n, {len(columns)}) for columns {columns}, got {rows.shape}"
             )
-        if self.columns[0] == "t" and self.rows:
-            if not float(values[0]) > float(self.rows[-1][0]):
-                raise ContractViolationError(
-                    f"time column must increase strictly: {values[0]} after {self.rows[-1][0]}"
-                )
-        self.rows.append(values)
-
-    @classmethod
-    def from_columns(cls, columns, values):
-        """A table whose j-th column holds ``values[j]``, one equal-length
-        1-d sequence per column; its rows are lists of Python floats.  A
-        time column is checked once, as append() checks it row by row.
-        """
-        table = cls(columns)
-        arrays = [np.asarray(v, dtype=float) for v in values]
-        if len(arrays) != len(table.columns) or len({a.shape for a in arrays}) != 1 \
-                or arrays[0].ndim != 1:
-            raise ContractViolationError(
-                f"need {len(table.columns)} columns of one length, got {[a.shape for a in arrays]}"
-            )
-        stacked = np.column_stack(arrays)
-        t = stacked[:, 0]
-        if table.columns[0] == "t" and not np.all(t[1:] > t[:-1]):
+        t = rows[:, 0]
+        if columns[0] == "t" and not np.all(t[1:] > t[:-1]):
             raise ContractViolationError("time column must increase strictly")
-        table.rows = stacked.tolist()
-        return table
+        rows.flags.writeable = False
+        self.columns = columns
+        self.rows = rows
 
     def column(self, name):
         try:
             idx = self.columns.index(name)
         except ValueError:
             raise ContractViolationError(f"no column named {name!r}") from None
-        return np.array([row[idx] for row in self.rows], dtype=float)
+        return self.rows[:, idx]
 
     def __len__(self):
         return len(self.rows)

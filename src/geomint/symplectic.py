@@ -186,18 +186,6 @@ def _verlet_kernel(sys, cfg, h, p, q, g=None):
     return p_half - 0.5 * h * g1, q1, g1
 
 
-def step_euler(sys, variant: EulerVariant, cfg: StepperConfig, y: PhaseState) -> PhaseState:
-    """One step of the Euler variant ``variant`` with step cfg.step_size."""
-    p, q, _ = _euler_kernel(variant, sys, cfg, cfg.step_size, y.p, y.q)
-    return PhaseState(p=p, q=q)
-
-
-def step_stormer_verlet(sys, cfg: StepperConfig, y: PhaseState) -> PhaseState:
-    """One step of the symmetric three-stage (kick, drift, kick) method."""
-    p, q, _ = _verlet_kernel(sys, cfg, cfg.step_size, y.p, y.q)
-    return PhaseState(p=p, q=q)
-
-
 METHOD_IDS = {
     "explicit-euler": partial(_euler_kernel, EXPLICIT_EULER),
     "implicit-euler": partial(_euler_kernel, IMPLICIT_EULER),
@@ -219,8 +207,9 @@ def resolve_method(method: MethodSpec):
     same size h, ending at q, or None to have it evaluated afresh.
     integrate() carries it from step to step, so Stormer-Verlet and the
     trigonometric kernels evaluate one gradient per step ("first same as
-    last"); the step_* helpers and the finite-difference diagnostics pass
-    None, so they never reuse a gradient from elsewhere.
+    last"); the finite-difference diagnostics pass None, so they never
+    reuse a gradient from elsewhere.  One step of a method is
+    ``resolve_method(id)(sys, cfg, h, p, q)``.
     """
     if isinstance(method, str):
         try:
@@ -263,11 +252,10 @@ def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end
 
     Records every ``record_every``-th step plus, always, the initial and
     final states (t_end = 0 yields the single row of y0): row i of the
-    trajectory's ``t``, ``p`` and ``q`` arrays holds one recorded step,
-    and ``trajectory[i]`` is the pair (t_i, PhaseState).  The rows are
-    preallocated and each recorded step's p and q are copied into its
-    row.  If an implicit solve diverges at step k, or step k leaves p or
-    q non-finite, the raised SolverDivergenceError carries
+    trajectory's ``t``, ``p`` and ``q`` arrays holds one recorded step.
+    The rows are preallocated and each recorded step's p and q are copied
+    into its row.  If an implicit solve diverges at step k, or step k
+    leaves p or q non-finite, the raised SolverDivergenceError carries
     ``step_index = k`` and, in its ``records`` attribute, the trajectory
     cut to the rows written before step k.
     """
@@ -347,28 +335,23 @@ def symmetry_defect(sys, method, cfg, y: PhaseState) -> float:
     return float(max(np.max(np.abs(p2 - y.p)), np.max(np.abs(q2 - y.q))))
 
 
-def first_integral_series(records, integrals) -> SeriesTable:
+def first_integral_series(trajectory: Trajectory, integrals) -> SeriesTable:
     """Evaluate named functionals along a trajectory.
 
-    ``records`` is the output of integrate(); ``integrals`` maps a name
-    to a callable PhaseState -> float.  The table has, per integral I,
-    columns I, I_drift (I(t) - I(0)) and I_rel_drift (drift normalized by
-    |I(0)|, or the raw drift if I(0) is zero).
+    ``trajectory`` is the output of integrate(); ``integrals`` maps a name
+    to a callable (p, q) -> float, evaluated once per recorded row.  The
+    table has, per integral I, columns I, I_drift (I(t) - I(0)) and
+    I_rel_drift (drift normalized by |I(0)|, or the raw drift if I(0) is
+    zero).
     """
-    if not records:
-        raise ContractViolationError("records must not be empty")
-    names = list(integrals)
-    columns = ["t"]
-    for name in names:
+    if not isinstance(trajectory, Trajectory):
+        raise ContractViolationError(
+            f"first_integral_series needs a Trajectory, got {type(trajectory).__name__}")
+    columns, values = ["t"], [trajectory.t]
+    for name, integral in integrals.items():
+        value = np.array([float(integral(p, q)) for p, q in zip(trajectory.p, trajectory.q)])
+        drift = value - value[0]
+        scale = abs(value[0])
         columns += [name, f"{name}_drift", f"{name}_rel_drift"]
-    table = SeriesTable(columns)
-    baseline = {name: float(integrals[name](records[0][1])) for name in names}
-    for t, state in records:
-        row = [t]
-        for name in names:
-            value = float(integrals[name](state))
-            drift = value - baseline[name]
-            scale = abs(baseline[name])
-            row += [value, drift, drift / scale if scale > 0.0 else drift]
-        table.append(row)
-    return table
+        values += [value, drift, drift / scale if scale > 0.0 else drift]
+    return SeriesTable(columns, np.column_stack(values))

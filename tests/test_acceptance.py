@@ -139,9 +139,10 @@ def test_criterion_05_energy_exchange_and_linear_exactness(capsys):
     start.p[3:] = y0.p[3:]
     linear_err = 0.0
     for name in ("trig-mollified", "trig-impulse"):
-        records = oscillatory.integrate_trigonometric(
-            lin, oscillatory.FILTERS[name](), 0.02, start, 200.0, record_every=10**9)
-        t_f, out = records[-1]
+        records = symplectic.integrate(
+            lin, oscillatory.TrigKernel(lin, oscillatory.FILTERS[name]()),
+            symplectic.StepperConfig(step_size=0.02), start, 200.0, record_every=10**9)
+        t_f, out = records.t[-1], PhaseState(p=records.p[-1], q=records.q[-1])
         omega = lin.omega[3:]
         q_ref = start.q[3:] * np.cos(omega * t_f) + (start.p[3:] / omega) * np.sin(omega * t_f)
         p_ref = -omega * start.q[3:] * np.sin(omega * t_f) + start.p[3:] * np.cos(omega * t_f)

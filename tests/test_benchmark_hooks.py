@@ -105,3 +105,10 @@ def test_traced_hamiltonian_jobs_compute_every_note(tmp_path):
     # (scan).  A change to how records or energies are counted shows here.
     assert metrics["models.energy_calls"] == 31
     assert metrics["harness.csv_rows"] == 263
+    # Every kernel call, made through oscillatory.integrate and
+    # symplectic.resolve_method where the tracer wraps them: steps of solar
+    # (20), its implicit-Euler divergence (12, the last one raising), Kepler
+    # (40) and Kepler implicit Euler (200); trigonometric steps of FPU (100)
+    # and Klein-Gordon (40).
+    assert metrics["symplectic.steps"] == 272
+    assert metrics["oscillatory.trig_steps"] == 140

@@ -2,9 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geomint.densela import as_matrix, qr_thin, svd_full, truncated_svd
 from geomint.errors import ContractViolationError
+
+# The shapes the low-rank workloads factor: K = U S and L = V S^T (40x8,
+# 12x4, 12x3), the 40x40 and 12x10 matrices behind the exact errors, and
+# the r x r coefficient matrices S of ranks 1, 3, 4 and 8.
+WORKLOAD_SHAPES = [(40, 8), (12, 4), (12, 3), (40, 40), (12, 10), (1, 1), (3, 3), (4, 4), (8, 8)]
+
+# Tolerance of the properties below, about twenty times the worst error
+# seen on these shapes; a kernel off by one part in 1e13 fails them.
+PROPERTY_TOL = 1e-13
 
 
 def random_matrix(rng, m, n, rank=None):
@@ -13,6 +24,25 @@ def random_matrix(rng, m, n, rank=None):
     left = rng.standard_normal((m, rank))
     right = rng.standard_normal((n, rank))
     return left @ right.T
+
+
+@st.composite
+def graded_matrices(draw):
+    """A workload-shaped matrix whose column scales, or singular values,
+    spread over up to twelve decades, as the low-rank benchmarks' do."""
+    m, n = draw(st.sampled_from(WORKLOAD_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(m, n)
+    grading = 10.0 ** -np.sort(rng.uniform(0.0, draw(st.floats(0.0, 12.0)), k))
+    if draw(st.booleans()):
+        return rng.standard_normal((m, n)) * grading
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return (u * grading) @ v.T
+
+
+def orthonormality_defect(q):
+    return np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
 
 
 # ---------------------------------------------------------------- as_matrix
@@ -67,6 +97,19 @@ def test_qr_reconstruction_and_orthogonality(seed):
     # R is upper triangular with nonnegative diagonal.
     assert np.allclose(r, np.triu(r))
     assert np.all(np.diag(r) >= 0.0)
+
+
+@given(a=graded_matrices())
+def test_qr_thin_properties_on_graded_matrices(a):
+    q, r = qr_thin(a)
+    n = a.shape[1]
+    assert q.shape == a.shape and r.shape == (n, n)
+    assert orthonormality_defect(q) <= PROPERTY_TOL
+    assert np.array_equal(r, np.triu(r))
+    assert np.all(np.diag(r) >= 0.0)
+    # Column by column, so that the smallest columns count as much as the largest.
+    residual = np.linalg.norm(q @ r - a, axis=0)
+    assert np.all(residual <= PROPERTY_TOL * np.linalg.norm(a, axis=0))
 
 
 def test_qr_completes_degenerate_columns():
@@ -134,6 +177,19 @@ def test_svd_matches_numpy_singular_values():
     ours = svd_full(a).sigma
     ref = np.linalg.svd(a, compute_uv=False)
     assert np.max(np.abs(ours - ref)) <= 1e-10 * ref[0]
+
+
+@given(a=graded_matrices())
+def test_svd_full_properties_on_graded_matrices(a):
+    res = svd_full(a)
+    k = min(a.shape)
+    assert res.left.shape == (a.shape[0], k) and res.right.shape == (a.shape[1], k)
+    assert orthonormality_defect(res.left) <= PROPERTY_TOL
+    assert orthonormality_defect(res.right) <= PROPERTY_TOL
+    recon = (res.left * res.sigma) @ res.right.T
+    assert np.linalg.norm(recon - a) <= PROPERTY_TOL * np.linalg.norm(a)
+    ref = np.linalg.svd(a, compute_uv=False)
+    assert np.max(np.abs(res.sigma - ref)) <= PROPERTY_TOL * ref[0]
 
 
 def test_svd_transpose_has_same_spectrum():

@@ -27,17 +27,37 @@ from geomint.series import SeriesTable
 
 def test_series_table_rejects_duplicate_columns():
     with pytest.raises(ContractViolationError):
-        SeriesTable(["t", "t"])
+        SeriesTable(["t", "t"], [[0.0, 1.0]])
 
 
 def test_series_table_rejects_ragged_rows():
-    table = SeriesTable(["a", "b"])
-    with pytest.raises(ContractViolationError):
-        table.append([1.0])
+    # The constructor's one shape check and its one time-order check.
+    for columns, rows in [
+        (["a", "b"], [[1.0]]),  # one value short
+        (["a", "b"], [[1.0, 2.0], [3.0]]),  # ragged
+        (["a", "b"], [1.0, 2.0]),  # one flat row
+        (["a", "b"], [[1.0, "x"]]),  # not a number
+        (["t", "x"], [[0.0, 1.0], [0.0, 2.0]]),  # time repeats
+        (["t", "x"], [[1.0, 1.0], [0.5, 2.0]]),  # time goes back
+        (["t", "x"], [[0.0, 1.0], [math.nan, 2.0]]),  # time is not a number
+    ]:
+        with pytest.raises(ContractViolationError):
+            SeriesTable(columns, rows)
+
+
+def test_series_table_is_read_only():
+    rows = np.array([[0.0, 1.0], [0.5, 2.0]])
+    table = SeriesTable(["t", "x"], rows)
+    with pytest.raises(ValueError, match="read-only"):
+        table.rows[1, 0] = -1.0
+    with pytest.raises(ValueError, match="read-only"):
+        table.column("x")[0] = 5.0
+    rows[0, 1] = 7.0  # the table keeps its own copy
+    assert table.column("x").tolist() == [1.0, 2.0]
 
 
 def test_series_table_unknown_column():
-    table = SeriesTable(["a"])
+    table = SeriesTable(["a"], [[1.0]])
     with pytest.raises(ContractViolationError):
         table.column("b")
 
@@ -54,8 +74,7 @@ def test_format_value_tokens():
 
 
 def test_emit_single_record_is_two_lines():
-    table = SeriesTable(["t", "H"])
-    table.append([0.0, -0.5])
+    table = SeriesTable(["t", "H"], [[0.0, -0.5]])
     buf = io.StringIO()
     csvio.emit_csv(table, buf)
     lines = buf.getvalue().splitlines()
@@ -65,10 +84,8 @@ def test_emit_single_record_is_two_lines():
 
 def test_round_trip_is_byte_identical():
     rng = np.random.default_rng(12)
-    table = SeriesTable(["t", "x", "y"])
-    for k in range(20):
-        table.append([0.1 * k, rng.standard_normal(), np.exp(40 * rng.standard_normal())])
-    table.append([2.0, float("nan"), float("inf")])
+    rows = [[0.1 * k, rng.standard_normal(), np.exp(40 * rng.standard_normal())] for k in range(20)]
+    table = SeriesTable(["t", "x", "y"], rows + [[2.0, float("nan"), float("inf")]])
     first = io.StringIO()
     csvio.emit_csv(table, first)
     parsed = csvio.parse_csv(io.StringIO(first.getvalue()))
@@ -90,9 +107,7 @@ _CSV_VALUE = st.one_of(
 @given(rows=st.integers(1, 6).flatmap(
     lambda n: st.lists(st.lists(_CSV_VALUE, min_size=n, max_size=n), min_size=1, max_size=8)))
 def test_emitted_rows_are_format_value_joined_and_parse_back(rows):
-    table = SeriesTable([f"c{j}" for j in range(len(rows[0]))])
-    for row in rows:
-        table.append(row)
+    table = SeriesTable([f"c{j}" for j in range(len(rows[0]))], rows)
     buf = io.StringIO()
     csvio.emit_csv(table, buf)
     text = buf.getvalue()
@@ -106,6 +121,11 @@ def test_emitted_rows_are_format_value_joined_and_parse_back(rows):
                 assert math.isnan(y)
             else:
                 assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
+    # The parsed array equals the constructed one bit for bit: nan at the
+    # same places, and the same bits (the sign of zero too) everywhere else.
+    nan = np.isnan(table.rows)
+    assert np.array_equal(np.isnan(parsed.rows), nan)
+    assert np.array_equal(parsed.rows[~nan].view(np.uint64), table.rows[~nan].view(np.uint64))
 
 
 def test_parse_rejects_bad_input():
@@ -116,8 +136,7 @@ def test_parse_rejects_bad_input():
 
 
 def test_emit_to_path(tmp_path):
-    table = SeriesTable(["t"])
-    table.append([1.0])
+    table = SeriesTable(["t"], [[1.0]])
     dest = tmp_path / "out.csv"
     csvio.emit_csv(table, dest)
     assert dest.read_text() == "t\n1\n"
@@ -127,10 +146,8 @@ def test_emit_to_path(tmp_path):
 
 
 def test_observed_order_on_synthetic_errors():
-    table = SeriesTable(["h", "error"])
-    for k in range(4):
-        h = 0.1 / 2**k
-        table.append([h, 3.0 * h**2])
+    h = 0.1 / 2.0 ** np.arange(4)
+    table = SeriesTable(["h", "error"], np.column_stack([h, 3.0 * h**2]))
     assert convergence.observed_order(table) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -205,7 +222,7 @@ def test_runs_are_deterministic():
         return experiments.run_experiment(cfg)
 
     a, b = run(), run()
-    assert a.table.rows == b.table.rows
+    assert np.array_equal(a.table.rows, b.table.rows)
 
 
 # ------------------------------------------------------------------------ CLI
@@ -280,6 +297,7 @@ def test_refused_method_is_contract_violation(tmp_path, capsys, experiment, meth
     (["lowrank-exactness"], "seed = x"),
     (["kepler-longtime"], "record-every = 2.5"),
     (["lowrank-robustness", "--param", "floors=a,b"], None),
+    (["lowrank-robustness", "--param", "floors=,"], None),
     (["kepler-longtime", "--h", "abc"], None),
 ])
 def test_value_that_does_not_convert_is_contract_violation(tmp_path, capsys, args, config):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomint import models, oscillatory, symplectic
+from geomint import models, symplectic
 from geomint.errors import (
     ContractViolationError,
     InadmissibleStepError,
@@ -19,12 +19,11 @@ from geomint.oscillatory import (
     FilterPair,
     OscillatorySystem,
     StepperConfig,
+    TrigKernel,
     energy_table,
-    integrate_trigonometric,
     resonance_report,
     run_energy_exchange_experiment,
     sinc,
-    step_trigonometric,
 )
 
 MOLLIFIED = FILTERS["trig-mollified"]()
@@ -38,6 +37,18 @@ def no_coupling(q):
 
 def fpu(m=3, omega=50.0):
     return models.make_fpu_chain(m, omega)
+
+
+def trig_step(sys, filters, h, y):
+    """One filtered step of size h from y."""
+    p, q, _ = TrigKernel(sys, filters)(sys, StepperConfig(step_size=h), h, y.p, y.q)
+    return PhaseState(p=p, q=q)
+
+
+def trig_run(sys, filters, h, y0, t_end, record_every=1):
+    """integrate() with the filtered kernel: the run run_screened makes."""
+    return symplectic.integrate(sys, TrigKernel(sys, filters), StepperConfig(step_size=h), y0,
+                                t_end, record_every=record_every)
 
 
 def single_oscillator(omega):
@@ -56,7 +67,7 @@ def test_pure_rotation_block():
     """With no coupling the step is the exact harmonic rotation."""
     sys = single_oscillator(2.0)
     y = PhaseState(p=np.array([0.0]), q=np.array([1.0]))
-    out = step_trigonometric(sys, MOLLIFIED, StepperConfig(step_size=0.25), y)
+    out = trig_step(sys, MOLLIFIED, 0.25, y)
     assert out.p[0] == pytest.approx(-2.0 * np.sin(0.5), abs=1e-14)
     assert out.q[0] == pytest.approx(np.cos(0.5), abs=1e-14)
 
@@ -70,17 +81,17 @@ def test_zero_frequency_reduces_to_verlet():
     )
     rng = np.random.default_rng(4)
     y = PhaseState(p=rng.standard_normal(2), q=rng.standard_normal(2))
-    cfg = StepperConfig(step_size=0.05)
-    ours = step_trigonometric(sys, MOLLIFIED, cfg, y)
-    ref = symplectic.step_stormer_verlet(sys, cfg, y)
-    assert np.max(np.abs(ours.p - ref.p)) <= 1e-14
-    assert np.max(np.abs(ours.q - ref.q)) <= 1e-14
+    ours = trig_step(sys, MOLLIFIED, 0.05, y)
+    ref_p, ref_q, _ = symplectic.METHOD_IDS["stormer-verlet"](sys, StepperConfig(step_size=0.05),
+                                                              0.05, y.p, y.q)
+    assert np.max(np.abs(ours.p - ref_p)) <= 1e-14
+    assert np.max(np.abs(ours.q - ref_q)) <= 1e-14
 
 
 def test_small_step_displacement_is_order_h():
     sys, y0 = fpu()
     for h in (1e-2, 1e-3):
-        out = step_trigonometric(sys, MOLLIFIED, StepperConfig(step_size=h), y0)
+        out = trig_step(sys, MOLLIFIED, h, y0)
         moved = max(np.max(np.abs(out.p - y0.p)), np.max(np.abs(out.q - y0.q)))
         assert moved <= 100.0 * h
 
@@ -88,7 +99,7 @@ def test_small_step_displacement_is_order_h():
 def test_resonant_step_is_refused_by_the_kernel():
     sys, y0 = fpu()
     with pytest.raises(ResonantStepError):
-        step_trigonometric(sys, MOLLIFIED, StepperConfig(step_size=np.pi / 50.0), y0)
+        trig_step(sys, MOLLIFIED, np.pi / 50.0, y0)
 
 
 def test_filters_share_value_one_at_zero():
@@ -118,7 +129,7 @@ def test_integrate_carries_the_trig_force_bit_for_bit(filter_id, h, n_steps, rec
         calls.append(1)
         return grad_U(q)
 
-    kernel = oscillatory.TrigKernel(sys, FILTERS[filter_id]())
+    kernel = TrigKernel(sys, FILTERS[filter_id]())
     cfg = StepperConfig(step_size=h)
     p, q = y0.p.copy(), y0.q.copy()
     expected = [(0.0, p, q)]
@@ -130,18 +141,18 @@ def test_integrate_carries_the_trig_force_bit_for_bit(filter_id, h, n_steps, rec
     records = symplectic.integrate(sys, kernel, cfg, y0, n_steps * h, record_every=record_every)
     assert len(calls) == n_steps + 1  # one force per step, plus the first
     assert len(records) == len(expected)
-    for (t, state), (t_ref, p_ref, q_ref) in zip(records, expected):
+    for t, p, q, (t_ref, p_ref, q_ref) in zip(records.t, records.p, records.q, expected):
         assert t == t_ref
-        assert np.array_equal(state.p, p_ref) and np.array_equal(state.q, q_ref)
+        assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
 
 
-def _energy_table_by_record(sys, records):
+def _energy_table_by_record(sys, trajectory):
     """energy_table's rows built from oscillatory_energies, one record at a time."""
     blocks = np.flatnonzero(sys.frequencies > 0.0)
     rows = []
     h0 = None
-    for t, state in records:
-        e = models.oscillatory_energies(sys, state)
+    for t, p, q in zip(trajectory.t, trajectory.p, trajectory.q):
+        e = models.oscillatory_energies(sys, PhaseState(p=p, q=q))
         if h0 is None:
             h0 = e.h_total
         rows.append([t, *e.mode_energies[blocks], e.h_omega, e.h_slow, e.h_total,
@@ -158,12 +169,11 @@ def test_energy_table_matches_per_record_energies_bit_for_bit(model, size, n_rec
     else:
         sys, _ = models.make_klein_gordon(size + 3, 0.5, 0.1)
     rng = np.random.default_rng(seed)
-    records = [(0.5 * k, PhaseState(p=scale * rng.standard_normal(sys.dim),
-                                    q=scale * rng.standard_normal(sys.dim)))
-               for k in range(n_records)]
-    trajectory = Trajectory(t=[t for t, _ in records], p=[s.p for _, s in records],
-                            q=[s.q for _, s in records])
-    assert energy_table(sys, trajectory).rows == _energy_table_by_record(sys, records)
+    # Record k draws its p, then its q: pq[k, 0] and pq[k, 1].
+    pq = scale * rng.standard_normal((n_records, 2, sys.dim))
+    trajectory = Trajectory(t=0.5 * np.arange(n_records), p=pq[:, 0], q=pq[:, 1])
+    assert np.array_equal(energy_table(sys, trajectory).rows,
+                          _energy_table_by_record(sys, trajectory))
 
 
 @given(model=st.sampled_from(["fpu", "klein-gordon"]), size=st.integers(1, 6),
@@ -252,7 +262,7 @@ def test_exchange_experiment_refuses_resonant_step():
 
 def test_energy_table_lists_positive_frequency_blocks_only():
     sys, y0 = fpu()
-    records = integrate_trigonometric(sys, MOLLIFIED, 0.02, y0, 1.0, record_every=10)
+    records = trig_run(sys, MOLLIFIED, 0.02, y0, 1.0, record_every=10)
     table = energy_table(sys, records)
     assert table.columns == ["t", "E_1", "E_2", "E_3", "H_omega", "H_slow", "H", "H_rel_drift"]
     assert len(table) == len(records)
@@ -281,10 +291,10 @@ def test_energy_exchange_with_conserved_totals():
 def test_uncoupled_mode_energies_are_constant():
     sys, y0 = fpu()
     lin = models.strip_coupling(sys)
-    records = integrate_trigonometric(lin, MOLLIFIED, 0.02, y0, 10.0, record_every=10)
-    e0 = models.oscillatory_energies(lin, records[0][1]).mode_energies
-    for _, state in records:
-        e = models.oscillatory_energies(lin, state).mode_energies
+    records = trig_run(lin, MOLLIFIED, 0.02, y0, 10.0, record_every=10)
+    e0 = models.oscillatory_energies(lin, PhaseState(p=records.p[0], q=records.q[0])).mode_energies
+    for p, q in zip(records.p, records.q):
+        e = models.oscillatory_energies(lin, PhaseState(p=p, q=q)).mode_energies
         assert np.max(np.abs(e - e0)) <= 1e-12
 
 
@@ -294,16 +304,16 @@ def test_linear_problem_is_integrated_exactly(pair):
     lin = models.strip_coupling(sys)
     start = PhaseState(p=np.zeros(sys.dim), q=y0.q.copy())
     start.p[3:] = y0.p[3:]
-    records = integrate_trigonometric(lin, pair, 0.02, start, 100.0, record_every=10**9)
-    t_f, out = records[-1]
+    records = trig_run(lin, pair, 0.02, start, 100.0, record_every=10**9)
+    t_f, out_p, out_q = records.t[-1], records.p[-1], records.q[-1]
     omega = lin.omega[3:]
     q_ref = start.q[3:] * np.cos(omega * t_f) + (start.p[3:] / omega) * np.sin(omega * t_f)
     p_ref = -omega * start.q[3:] * np.sin(omega * t_f) + start.p[3:] * np.cos(omega * t_f)
     worst = max(
-        np.max(np.abs(out.q[3:] - q_ref)),
-        np.max(np.abs(out.p[3:] - p_ref)),
-        np.max(np.abs(out.q[:3] - start.q[:3])),
-        np.max(np.abs(out.p[:3])),
+        np.max(np.abs(out_q[3:] - q_ref)),
+        np.max(np.abs(out_p[3:] - p_ref)),
+        np.max(np.abs(out_q[:3] - start.q[:3])),
+        np.max(np.abs(out_p[:3])),
     )
     assert worst <= 1e-11
 
@@ -311,28 +321,28 @@ def test_linear_problem_is_integrated_exactly(pair):
 def test_klein_gordon_linear_modes_are_exact():
     sys, y0 = models.make_klein_gordon(8, 0.5, 0.1)
     lin = models.strip_coupling(sys)
-    records = integrate_trigonometric(lin, IMPULSE, 0.02, y0, 1.0, record_every=10**9)
-    t_f, out = records[-1]
+    records = trig_run(lin, IMPULSE, 0.02, y0, 1.0, record_every=10**9)
+    t_f = records.t[-1]
     omega = lin.omega
     q_ref = y0.q * np.cos(omega * t_f) + (y0.p / omega) * np.sin(omega * t_f)
     p_ref = -omega * y0.q * np.sin(omega * t_f) + y0.p * np.cos(omega * t_f)
-    assert np.max(np.abs(out.q - q_ref)) <= 1e-12
-    assert np.max(np.abs(out.p - p_ref)) <= 1e-12
+    assert np.max(np.abs(records.q[-1] - q_ref)) <= 1e-12
+    assert np.max(np.abs(records.p[-1] - p_ref)) <= 1e-12
 
 
 def test_step_is_time_symmetric():
     sys, y0 = fpu()
-    fwd = step_trigonometric(sys, MOLLIFIED, StepperConfig(step_size=0.02), y0)
-    back = step_trigonometric(sys, MOLLIFIED, StepperConfig(step_size=-0.02), fwd)
+    fwd = trig_step(sys, MOLLIFIED, 0.02, y0)
+    back = trig_step(sys, MOLLIFIED, -0.02, fwd)
     assert np.max(np.abs(back.p - y0.p)) <= 1e-11
     assert np.max(np.abs(back.q - y0.q)) <= 1e-11
 
 
 def test_long_time_energy_drift_stays_small():
     sys, y0 = fpu()
-    records = integrate_trigonometric(sys, MOLLIFIED, 0.02, y0, 1000.0, record_every=100)
+    records = trig_run(sys, MOLLIFIED, 0.02, y0, 1000.0, record_every=100)
     h0 = sys.eval_H(y0.p, y0.q)
-    drift = max(abs(sys.eval_H(s.p, s.q) - h0) / abs(h0) for _, s in records)
+    drift = max(abs(sys.eval_H(p, q) - h0) / abs(h0) for p, q in zip(records.p, records.q))
     assert drift <= 0.05
 
 
@@ -342,9 +352,9 @@ def test_long_time_energy_drift_stays_small():
 def test_integrate_validations():
     sys, y0 = fpu()
     with pytest.raises(ContractViolationError):
-        integrate_trigonometric(sys, MOLLIFIED, -0.1, y0, 1.0)
+        trig_run(sys, MOLLIFIED, -0.1, y0, 1.0)
     with pytest.raises(ContractViolationError):
-        integrate_trigonometric(sys, MOLLIFIED, 0.02, y0, 1.0, record_every=0)
+        trig_run(sys, MOLLIFIED, 0.02, y0, 1.0, record_every=0)
 
 
 def test_oscillatory_system_frequency_layout():
@@ -358,6 +368,5 @@ def test_oscillatory_system_frequency_layout():
 
 def test_step_requires_oscillatory_system():
     with pytest.raises(ContractViolationError):
-        step_trigonometric(models.make_harmonic_oscillator(), MOLLIFIED,
-                           StepperConfig(step_size=0.1),
-                           PhaseState(p=np.array([1.0]), q=np.array([0.0])))
+        trig_step(models.make_harmonic_oscillator(), MOLLIFIED, 0.1,
+                  PhaseState(p=np.array([1.0]), q=np.array([0.0])))

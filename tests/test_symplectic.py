@@ -13,8 +13,6 @@ from geomint.symplectic import (
     StepperConfig,
     first_integral_series,
     integrate,
-    step_euler,
-    step_stormer_verlet,
     symmetry_defect,
     symplecticity_defect,
 )
@@ -27,32 +25,37 @@ def cfg(h, **kw):
     return StepperConfig(step_size=h, **kw)
 
 
-def angular_momentum(state):
-    return models.angular_momentum_2d(state)
+def step(sys, method, h, y, **kw):
+    """One step of ``method`` (an id of METHOD_IDS) of size h from y."""
+    p, q, _ = symplectic.resolve_method(method)(sys, cfg(h, **kw), h, y.p, y.q)
+    return PhaseState(p=p, q=q)
+
+
+def angular_momentum(p, q):
+    return models.angular_momentum_2d(PhaseState(p=p, q=q))
 
 
 # ------------------------------------------------------------------ stepping
 
 
 def test_symplectic_euler_p_first_on_harmonic():
-    out = step_euler(HARMONIC, EulerVariant(alpha=1, beta=0), cfg(0.1), UNIT)
+    out = step(HARMONIC, "symplectic-euler-pq", 0.1, UNIT)
     assert out.p[0] == pytest.approx(1.0, abs=1e-15)
     assert out.q[0] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_explicit_euler_grows_energy():
-    out = step_euler(HARMONIC, EulerVariant(alpha=0, beta=0), cfg(0.1), UNIT)
+    out = step(HARMONIC, "explicit-euler", 0.1, UNIT)
     assert out.p[0] == pytest.approx(1.0, abs=1e-15)
     assert out.q[0] == pytest.approx(0.1, abs=1e-15)
     assert HARMONIC.eval_H(out.p, out.q) > HARMONIC.eval_H(UNIT.p, UNIT.q)
 
 
 def test_zero_step_is_identity():
-    for variant in (EulerVariant(0, 0), EulerVariant(1, 0), EulerVariant(0, 1), EulerVariant(1, 1)):
-        out = step_euler(HARMONIC, variant, cfg(0.0), UNIT)
-        assert out.p[0] == UNIT.p[0] and out.q[0] == UNIT.q[0]
-    out = step_stormer_verlet(HARMONIC, cfg(0.0), UNIT)
-    assert out.p[0] == UNIT.p[0] and out.q[0] == UNIT.q[0]
+    # The four Euler variants and Stormer-Verlet.
+    for method in symplectic.METHOD_IDS:
+        out = step(HARMONIC, method, 0.0, UNIT)
+        assert out.p[0] == UNIT.p[0] and out.q[0] == UNIT.q[0], method
 
 
 def test_euler_variant_domain():
@@ -61,7 +64,7 @@ def test_euler_variant_domain():
 
 
 def test_verlet_on_harmonic():
-    out = step_stormer_verlet(HARMONIC, cfg(0.1), UNIT)
+    out = step(HARMONIC, "stormer-verlet", 0.1, UNIT)
     assert out.p[0] == pytest.approx(0.995, abs=1e-15)
     assert out.q[0] == pytest.approx(0.1, abs=1e-15)
 
@@ -73,7 +76,7 @@ def test_free_flight_is_exact():
         grad_V=lambda q: np.zeros(2),
     )
     y = PhaseState(p=np.array([2.0, -1.0]), q=np.array([0.5, 0.5]))
-    out = step_stormer_verlet(free, cfg(0.3), y)
+    out = step(free, "stormer-verlet", 0.3, y)
     assert np.array_equal(out.p, y.p)
     assert np.allclose(out.q, y.q + 0.3 * free.mass_inverse @ y.p, atol=1e-16)
 
@@ -83,16 +86,15 @@ def test_verlet_is_composition_of_mixed_euler_halves():
     rng = np.random.default_rng(8)
     for _ in range(5):
         y = PhaseState(p=rng.standard_normal(1), q=rng.standard_normal(1))
-        direct = step_stormer_verlet(pend, cfg(0.2), y)
-        half = cfg(0.1)
-        mid = step_euler(pend, EulerVariant(alpha=1, beta=0), half, y)
-        composed = step_euler(pend, EulerVariant(alpha=0, beta=1), half, mid)
+        direct = step(pend, "stormer-verlet", 0.2, y)
+        mid = step(pend, "symplectic-euler-pq", 0.1, y)
+        composed = step(pend, "symplectic-euler-qp", 0.1, mid)
         assert np.max(np.abs(direct.p - composed.p)) <= 1e-14
         assert np.max(np.abs(direct.q - composed.q)) <= 1e-14
 
 
 def test_implicit_euler_satisfies_its_fixed_point():
-    out = step_euler(HARMONIC, EulerVariant(alpha=1, beta=1), cfg(0.01, solver_tol=1e-13), UNIT)
+    out = step(HARMONIC, "implicit-euler", 0.01, UNIT, solver_tol=1e-13)
     # p1 = p - h * dH/dq(p1, q1), q1 = q + h * dH/dp(p1, q1)
     res_p = out.p[0] - (UNIT.p[0] - 0.01 * out.q[0])
     res_q = out.q[0] - (UNIT.q[0] + 0.01 * out.p[0])
@@ -105,28 +107,28 @@ def test_implicit_euler_satisfies_its_fixed_point():
 def test_record_every_larger_than_run():
     records = integrate(HARMONIC, "stormer-verlet", cfg(0.1), UNIT, 1.0, record_every=1000)
     assert len(records) == 2
-    assert records[0][0] == 0.0
-    assert records[-1][0] == pytest.approx(1.0, abs=1e-12)
+    assert records.t[0] == 0.0
+    assert records.t[-1] == pytest.approx(1.0, abs=1e-12)
     # A record_every that does not divide the n = 10 steps: rows at steps
     # 0, 3, 6, 9 and the final one, n // k + 2 in all, the last at n * h.
     records = integrate(HARMONIC, "stormer-verlet", cfg(0.1), UNIT, 1.0, record_every=3)
     assert len(records) == 10 // 3 + 2
     assert records.t.tolist() == [0.0, 3 * 0.1, 6 * 0.1, 9 * 0.1, 10 * 0.1]
-    assert records[-1][0] == 10 * 0.1
+    assert records.t[-1] == 10 * 0.1
 
 
 def test_verlet_closes_harmonic_period():
     records = integrate(HARMONIC, "stormer-verlet", cfg(0.01), UNIT, 2 * np.pi, record_every=10**9)
-    t_f, out = records[-1]
-    assert abs(out.p[0] - np.cos(t_f)) <= 1e-3
-    assert abs(out.q[0] - np.sin(t_f)) <= 1e-3
+    t_f = records.t[-1]
+    assert abs(records.p[-1, 0] - np.cos(t_f)) <= 1e-3
+    assert abs(records.q[-1, 0] - np.sin(t_f)) <= 1e-3
 
 
 def test_verlet_kepler_self_convergence():
     sys, y0 = models.make_kepler(0.6)
-    coarse = integrate(sys, "stormer-verlet", cfg(1e-3), y0, 1.0, record_every=10**9)[-1][1]
-    fine = integrate(sys, "stormer-verlet", cfg(1e-5), y0, 1.0, record_every=10**9)[-1][1]
-    diff = max(np.max(np.abs(coarse.p - fine.p)), np.max(np.abs(coarse.q - fine.q)))
+    coarse = integrate(sys, "stormer-verlet", cfg(1e-3), y0, 1.0, record_every=10**9)
+    fine = integrate(sys, "stormer-verlet", cfg(1e-5), y0, 1.0, record_every=10**9)
+    diff = max(np.max(np.abs(coarse.p[-1] - fine.p[-1])), np.max(np.abs(coarse.q[-1] - fine.q[-1])))
     assert diff <= 1e-5
 
 
@@ -201,7 +203,6 @@ def test_blow_up_is_a_divergence_with_the_step_and_partial_records():
     assert info.value.step_index == 308
     records = info.value.records
     assert len(records) == 308
-    assert records[-1][0] == 3070.0
     # The rows written before step 308, and no uninitialised tail.
     assert records.t[-1] == 3070.0 and records.p.shape == records.q.shape == (308, 1)
     assert np.isfinite(records.p).all() and np.isfinite(records.q).all()
@@ -259,9 +260,9 @@ def _kernel_loop(sys, kernel, h, y0, n_steps, record_every):
 
 def assert_records_equal(records, expected):
     assert len(records) == len(expected)
-    for (t, state), (t_ref, p_ref, q_ref) in zip(records, expected):
+    for t, p, q, (t_ref, p_ref, q_ref) in zip(records.t, records.p, records.q, expected):
         assert t == t_ref
-        assert np.array_equal(state.p, p_ref) and np.array_equal(state.q, q_ref)
+        assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
 
 
 @given(eccentricity=st.floats(0.0, 0.7), h=st.floats(1e-3, 0.1),
@@ -342,9 +343,11 @@ def test_central_jacobian_evaluates_only_the_differences():
 
 def test_constant_integral_has_zero_drift():
     records = integrate(HARMONIC, "stormer-verlet", cfg(0.1), UNIT, 1.0)
-    table = first_integral_series(records, {"one": lambda s: 1.0})
+    table = first_integral_series(records, {"one": lambda p, q: 1.0})
     assert all(v == 0.0 for v in table.column("one_drift"))
     assert all(v == 0.0 for v in table.column("one_rel_drift"))
+    with pytest.raises(ContractViolationError, match="Trajectory"):
+        first_integral_series([], {"one": lambda p, q: 1.0})
 
 
 def test_verlet_preserves_kepler_angular_momentum():
@@ -357,7 +360,7 @@ def test_verlet_preserves_kepler_angular_momentum():
 def test_explicit_euler_energy_error_grows():
     sys, y0 = models.make_kepler(0.6)
     records = integrate(sys, "explicit-euler", cfg(1e-3), y0, 100.0, record_every=1000)
-    table = first_integral_series(records, {"H": lambda s: sys.eval_H(s.p, s.q)})
+    table = first_integral_series(records, {"H": sys.eval_H})
     ts = table.column("t")
     errs = [abs(v) for v in table.column("H_rel_drift")]
     at = {t: e for t, e in zip(ts, errs)}
@@ -371,7 +374,7 @@ def test_halving_the_step_halves_long_time_energy_error():
     def max_rel_err(h):
         records = integrate(sys, "symplectic-euler-qp", cfg(h), y0, 1e4, record_every=200)
         h0 = sys.eval_H(y0.p, y0.q)
-        return max(abs(sys.eval_H(s.p, s.q) - h0) / abs(h0) for _, s in records)
+        return max(abs(sys.eval_H(p, q) - h0) / abs(h0) for p, q in zip(records.p, records.q))
 
     ratio = max_rel_err(0.025) / max_rel_err(0.0125)
     assert 1.6 <= ratio <= 2.4
