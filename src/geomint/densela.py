@@ -1,16 +1,20 @@
 """Small dense linear algebra kernels.
 
 Deterministic QR and SVD factorizations used by the low-rank integrator
-and by diagnostics.  Both are written directly on numpy arrays instead of
-delegating to LAPACK so that sign conventions and convergence thresholds
-are pinned down exactly:
+and by diagnostics, with their sign conventions and thresholds pinned down
+exactly:
 
-* ``qr_thin``  -- Householder reflections, R forced to have a nonnegative
-  diagonal, which makes the factorization unique for full-rank input.
-* ``svd_full`` -- one-sided Jacobi iteration on columns.  Rotations act on
-  the matrix itself, so singular values of graded matrices keep high
-  relative accuracy, which matters when the low-rank benchmarks push
-  singular values down to ~1e-12.
+* ``qr_thin``  -- LAPACK's Householder QR (``numpy.linalg.qr``) plus fixed
+  conventions: finite, tall input checked first, R with a nonnegative
+  diagonal (unique for full-rank input) and an exactly zero strictly
+  lower triangle, and roundoff-level diagonal entries of dependent
+  columns set to exact zeros.
+* ``svd_full`` -- one-sided Jacobi iteration on columns, written directly
+  on numpy arrays.  It stays Jacobi rather than LAPACK's bidiagonal SVD,
+  whose small singular values are only accurate to about eps times the
+  largest: Jacobi rotations act on the matrix itself, so singular values
+  of graded matrices keep high relative accuracy, which matters when the
+  low-rank benchmarks push singular values down to ~1e-12.
 
 Intended for small dense problems (dimensions up to a few hundred).
 """
@@ -57,60 +61,34 @@ class SvdResult:
     right: np.ndarray
 
 
-def _householder_vector(x):
-    """Return (v, beta) with (I - beta v v^T) x = -sign(x0) ||x|| e1, v[0] = 1."""
-    v = x.copy()
-    sigma = float(v[1:] @ v[1:])
-    alpha = float(v[0])
-    if sigma == 0.0 and alpha == 0.0:
-        return v, 0.0
-    norm_x = np.hypot(alpha, np.sqrt(sigma))
-    # Choose the reflection that avoids cancellation in v[0].
-    v0 = alpha + norm_x if alpha >= 0.0 else alpha - norm_x
-    v = v / v0
-    v[0] = 1.0
-    beta = 2.0 / float(v @ v)
-    return v, beta
-
-
 def qr_thin(a):
-    """Thin QR factorization via Householder reflections.
+    """Thin QR factorization: LAPACK's Householder QR (``numpy.linalg.qr``,
+    reduced mode) under fixed conventions.
 
     Returns (q, r) with q of shape (m, n) having orthonormal columns and r
-    upper triangular with nonnegative diagonal, q @ r = a.  Requires
-    m >= n.  Rank-deficient input is allowed; the corresponding diagonal
-    entries of r come out zero.
+    upper triangular with nonnegative diagonal, q @ r = a; the diagonal
+    signs make the factorization unique for full-rank input, and the
+    strictly lower triangle of r is exactly +0.0.  Requires m >= n and
+    finite entries (ContractViolationError otherwise, checked before
+    LAPACK sees the input).  Rank-deficient input is allowed; the
+    corresponding diagonal entries of r come out exactly zero.
     """
     a = as_matrix(a)
     m, n = a.shape
     if m < n:
         raise ContractViolationError(f"qr_thin needs m >= n, got shape {a.shape}")
-    r = a.copy()
-    reflectors = []
-    for k in range(n):
-        v, beta = _householder_vector(r[k:, k])
-        if beta != 0.0:
-            r[k:, k:] -= beta * np.outer(v, v @ r[k:, k:])
-        reflectors.append((k, v, beta))
-    # Accumulate q by applying the reflectors in reverse to the leading
-    # columns of the identity.
-    q = np.eye(m, n)
-    for k, v, beta in reversed(reflectors):
-        if beta != 0.0:
-            q[k:, :] -= beta * np.outer(v, v @ q[k:, :])
-    # Sign fix: flip so that diag(r) >= 0, keeping q @ r unchanged.
-    signs = np.where(np.diag(r)[:n] < 0.0, -1.0, 1.0)
+    q, r = np.linalg.qr(a)
+    # Sign fix: flip so that diag(r) >= 0, keeping q @ r unchanged.  triu
+    # after the flip keeps the lower triangle +0.0 rather than -0.0.
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     q *= signs
-    r = (r[:n, :].T * signs).T
-    r = np.triu(r)
+    r = np.triu(signs[:, None] * r)
     # A diagonal entry below roundoff relative to its own column is pure
     # reflector noise from a linearly dependent column; report it as an
     # exact zero.  The comparison is column-local on purpose: columns that
     # are genuinely tiny but independent keep their diagonal.
-    col_norms = np.linalg.norm(a, axis=0)
-    noise = np.diag(r) <= m * _EPS * col_norms
-    if np.any(noise):
-        r[np.flatnonzero(noise), np.flatnonzero(noise)] = 0.0
+    noise = np.flatnonzero(np.diag(r) <= m * _EPS * np.linalg.norm(a, axis=0))
+    r[noise, noise] = 0.0
     return q, r
 
 

@@ -11,8 +11,8 @@ the registry or a model refuses (an unknown experiment, a flag the
 experiment does not read, a method the experiment does not offer, a value
 that does not convert to its type, a bad domain, an inadmissible or
 resonant step size, more than symplectic.MAX_STEPS steps); 3 solver
-divergence or any other numerical failure (a partial CSV is still written
-when the experiment returns its rows); 4 I/O failure.  A config file holds
+divergence, after the experiment's rows finished before it are written as
+a partial CSV, or any other numerical failure; 4 I/O failure.  A config file holds
 flat ``key = value`` lines mirroring the flags; command-line flags win.
 The CLI only parses: ExperimentConfig converts the values, checks them
 and fills in the experiment's defaults.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import ContractViolationError, GeomintError, SolverDivergenceError
+from ..errors import ContractViolationError, GeomintError
 from .csvio import emit_csv
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
@@ -126,14 +126,10 @@ def _build_config(args):
     return ExperimentConfig(experiment=args.experiment, params=params, **given)
 
 
-def _run(args, stdout, stderr):
+def _run(args, stdout):
     config = _build_config(args)
     out_path = config.output or f"{config.experiment}.csv"
-    try:
-        result = run_experiment(config)
-    except SolverDivergenceError as exc:
-        stderr.write(f"geomint: solver diverged: {exc}\n")
-        return EXIT_DIVERGENCE
+    result = run_experiment(config)
     emit_csv(result.table, out_path)
     summary = result.summary
     status = " status=diverged" if result.diverged else ""
@@ -164,7 +160,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        return _run(args, stdout, stderr)
+        return _run(args, stdout)
     except _UsageError as exc:
         stderr.write(f"geomint: error: {exc}\n")
         return EXIT_USAGE

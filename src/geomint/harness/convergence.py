@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import lowrank, symplectic
-from ..errors import ContractViolationError
+from ..errors import ContractViolationError, SolverDivergenceError
 from ..models.simple import make_kepler
 from ..series import SeriesTable
 
@@ -49,16 +49,6 @@ def _kepler_final(method, h, t_end, y0, sys):
     return np.concatenate([records.p[-1], records.q[-1]])
 
 
-def _kepler_errors(method, h_values, t_end):
-    sys, y0 = make_kepler(0.6)
-    h_ref = h_values[-1] / _REFERENCE_REFINEMENT
-    reference = _kepler_final("stormer-verlet", h_ref, t_end, y0, sys)
-    return [
-        float(np.linalg.norm(_kepler_final(method, h, t_end, y0, sys) - reference))
-        for h in h_values
-    ]
-
-
 def _lowrank_final(flow, y0, method, h, t_end, substeps):
     records = lowrank.integrate_lowrank(
         flow, y0, 0.0, t_end, h, method=method,
@@ -67,20 +57,13 @@ def _lowrank_final(flow, y0, method, h, t_end, substeps):
     return lowrank.to_full(records[-1].factors)
 
 
-def _lowrank_errors(method, h_values, t_end, substeps, seed):
-    # Rank 4 out of 12 decaying singular values, fed as the explicit field
-    # F(t, Y) = dA/dt: the full-rank right-hand side keeps the splitting
-    # from being exact, and the self-reference cancels the common
-    # truncation floor so the pure order in h is visible.
-    d_vals = 2.0 ** -np.arange(1, 13)
-    flow = lowrank.rotating_flow(d_vals, seed=seed, y_dependent=False)
-    y0 = lowrank.factorize(np.diag(d_vals), 4)
-    h_ref = h_values[-1] / _REFERENCE_REFINEMENT
-    reference = _lowrank_final(flow, y0, "ksl-strang", h_ref, t_end, substeps)
-    return [
-        float(np.linalg.norm(_lowrank_final(flow, y0, method, h, t_end, substeps) - reference))
-        for h in h_values
+def _ladder_table(h_values, errors):
+    orders = [float("nan")] + [
+        float(np.log(errors[i - 1] / errors[i]) / np.log(h_values[i - 1] / h_values[i]))
+        for i in range(1, len(errors))
     ]
+    return SeriesTable(["h", "error", "order"],
+                       np.column_stack([h_values[:len(errors)], errors, orders[:len(errors)]]))
 
 
 def convergence_table(experiment, method, h_list, t_end=1.0, substeps=10, seed=0) -> SeriesTable:
@@ -89,26 +72,42 @@ def convergence_table(experiment, method, h_list, t_end=1.0, substeps=10, seed=0
     ``experiment`` is 'kepler' (eccentricity 0.6, all symplectic-module
     methods) or 'lowrank-rotating' (rank-constrained methods on the
     rotating benchmark flow).  Columns: h, error, order; the first order
-    entry is nan (orders are ratios of consecutive rows).
+    entry is nan (orders are ratios of consecutive rows).  If a run
+    diverges, the raised SolverDivergenceError carries the table of the
+    rungs completed before it in ``records``.
     """
     h_values = _validate_h_list(h_list)
     if experiment == "kepler":
         if method not in KEPLER_METHODS:
             raise ContractViolationError(f"method {method!r} not valid for kepler; use one of {KEPLER_METHODS}")
-        errors = _kepler_errors(method, h_values, t_end)
+        sys, y0 = make_kepler(0.6)
+        final = lambda method, h: _kepler_final(method, h, t_end, y0, sys)
+        reference_method = "stormer-verlet"
     elif experiment == "lowrank-rotating":
         if method not in LOWRANK_METHODS:
             raise ContractViolationError(f"method {method!r} not valid for lowrank-rotating; use one of {LOWRANK_METHODS}")
-        errors = _lowrank_errors(method, h_values, t_end, substeps, seed)
+        # Rank 4 out of 12 decaying singular values, fed as the explicit field
+        # F(t, Y) = dA/dt: the full-rank right-hand side keeps the splitting
+        # from being exact, and the self-reference cancels the common
+        # truncation floor so the pure order in h is visible.
+        d_vals = 2.0 ** -np.arange(1, 13)
+        flow = lowrank.rotating_flow(d_vals, seed=seed, y_dependent=False)
+        y0 = lowrank.factorize(np.diag(d_vals), 4)
+        final = lambda method, h: _lowrank_final(flow, y0, method, h, t_end, substeps)
+        reference_method = "ksl-strang"
     else:
         raise ContractViolationError(
             f"unknown convergence experiment {experiment!r}; use 'kepler' or 'lowrank-rotating'"
         )
-    orders = [float("nan")] + [
-        float(np.log(errors[i - 1] / errors[i]) / np.log(h_values[i - 1] / h_values[i]))
-        for i in range(1, len(h_values))
-    ]
-    return SeriesTable(["h", "error", "order"], np.column_stack([h_values, errors, orders]))
+    errors = []
+    try:
+        reference = final(reference_method, h_values[-1] / _REFERENCE_REFINEMENT)
+        for h in h_values:
+            errors.append(float(np.linalg.norm(final(method, h) - reference)))
+    except SolverDivergenceError as exc:
+        exc.records = _ladder_table(h_values, errors)
+        raise
+    return _ladder_table(h_values, errors)
 
 
 def observed_order(table: SeriesTable) -> float:

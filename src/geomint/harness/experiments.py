@@ -1,9 +1,9 @@
 """Registered experiments and their fixed CSV schemas.
 
 Each experiment maps a configuration to a SeriesTable plus a small
-summary dict.  Solver divergence inside the solar and Kepler runs is a
-recordable outcome: the rows collected before the failure are returned
-and the result is flagged, so the caller can still write a partial CSV.
+summary dict.  Solver divergence inside a run is a recordable outcome:
+the rows collected before the failure are returned and the result is
+flagged, so the caller can still write a partial CSV.
 """
 
 from __future__ import annotations
@@ -121,21 +121,23 @@ def _energy_columns(trajectory, eval_H):
     return h_values, rel
 
 
-def _integrate_until_divergence(sys, cfg: ExperimentConfig, stepper, y0):
-    """symplectic.integrate's trajectory and summary; a run that diverges at
-    step k is a recordable outcome: its records so far, with steps = k."""
+def _until_divergence(cfg: ExperimentConfig, run, *args, **kwargs):
+    """run(*args, **kwargs), a summary and the divergence flag; a run that
+    diverges at step k is a recordable outcome: the records so far that
+    its SolverDivergenceError carries, with steps = k."""
     try:
-        trajectory = symplectic.integrate(sys, cfg.method, stepper, y0, cfg.t_end,
-                                          record_every=cfg.record_every)
+        result = run(*args, **kwargs)
     except SolverDivergenceError as exc:
         return exc.records, {"diverged_at_step": exc.step_index, "steps": exc.step_index}, True
-    return trajectory, {"steps": symplectic.step_count(cfg.h, cfg.t_end)}, False
+    return result, {"steps": symplectic.step_count(cfg.h, cfg.t_end)}, False
 
 
 def _run_solar(cfg: ExperimentConfig) -> ExperimentResult:
     sys, y0, data = make_outer_solar_system()
     stepper = symplectic.StepperConfig(step_size=cfg.h)
-    trajectory, summary, diverged = _integrate_until_divergence(sys, cfg, stepper, y0)
+    trajectory, summary, diverged = _until_divergence(
+        cfg, symplectic.integrate, sys, cfg.method, stepper, y0, cfg.t_end,
+        record_every=cfg.record_every)
     h_vals, rel = _energy_columns(trajectory, sys.eval_H)
     table = SeriesTable(
         ["t", "H", "rel_H_err", "r_J", "r_S", "r_U", "r_N", "r_P"],
@@ -148,8 +150,9 @@ def _run_solar(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_kepler_longtime(cfg: ExperimentConfig) -> ExperimentResult:
     sys, y0 = make_kepler(cfg.params["eccentricity"])
-    trajectory, summary, diverged = _integrate_until_divergence(
-        sys, cfg, kepler_stepper(cfg.method, cfg.h), y0)
+    trajectory, summary, diverged = _until_divergence(
+        cfg, symplectic.integrate, sys, cfg.method, kepler_stepper(cfg.method, cfg.h), y0,
+        cfg.t_end, record_every=cfg.record_every)
     h_vals, rel = _energy_columns(trajectory, sys.eval_H)
     ell = angular_momentum_2d(trajectory)
     l_drift = ell - ell[0]
@@ -164,25 +167,22 @@ def _run_kepler_longtime(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_fpu_exchange(cfg: ExperimentConfig) -> ExperimentResult:
     m = cfg.params["m"]
-    table = oscillatory.run_energy_exchange_experiment(
-        m, cfg.params["omega"], cfg.h, cfg.t_end,
-        filters=oscillatory.FILTERS[cfg.method](),
-        record_every=cfg.record_every,
-    )
+    table, summary, diverged = _until_divergence(
+        cfg, oscillatory.run_energy_exchange_experiment, m, cfg.params["omega"], cfg.h, cfg.t_end,
+        filters=oscillatory.FILTERS[cfg.method](), record_every=cfg.record_every)
     swings = []
     for j in range(1, m + 1):
         e = table.column(f"E_{j}")
         swings.append(np.max(np.abs(e - e[0])))
     h_omega = table.column("H_omega")
     h_omega_drift = np.max(np.abs(h_omega - h_omega[0]))
-    summary = {
-        "steps": symplectic.step_count(cfg.h, cfg.t_end),
+    summary.update({
         "max_rel_H_err": float(np.max(np.abs(table.column("H_rel_drift")))),
         "h_omega_drift": float(h_omega_drift),
         "max_mode_swing": float(max(swings)),
         "headline": f"max_mode_swing={max(swings):.3g} h_omega_drift={h_omega_drift:.3g}",
-    }
-    return ExperimentResult(table, summary)
+    })
+    return ExperimentResult(table, summary, diverged)
 
 
 def _run_fpu_resonance_scan(cfg: ExperimentConfig) -> ExperimentResult:
@@ -218,17 +218,17 @@ def _run_fpu_resonance_scan(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_klein_gordon(cfg: ExperimentConfig) -> ExperimentResult:
     n_modes = cfg.params["modes"]
     sys, y0 = make_klein_gordon(n_modes, cfg.params["rho"], cfg.params["eps"])
-    table = oscillatory.run_screened(sys, y0, oscillatory.FILTERS[cfg.method](), cfg.h,
-                                     cfg.t_end, record_every=cfg.record_every)
+    table, summary, diverged = _until_divergence(
+        cfg, oscillatory.run_screened, sys, y0, oscillatory.FILTERS[cfg.method](), cfg.h,
+        cfg.t_end, record_every=cfg.record_every)
     slope = mode_decay_slope(table, len(table) - 1, j_max=min(10, n_modes))
     max_rel_h_err = np.max(np.abs(table.column("H_rel_drift")))
-    summary = {
-        "steps": symplectic.step_count(cfg.h, cfg.t_end),
+    summary.update({
         "max_rel_H_err": float(max_rel_h_err),
         "final_decay_slope": slope,
         "headline": f"decay_slope={slope:.3g} max_rel_H_err={max_rel_h_err:.3g}",
-    }
-    return ExperimentResult(table, summary)
+    })
+    return ExperimentResult(table, summary, diverged)
 
 
 def mode_decay_slope(table: SeriesTable, row_index, j_min=2, j_max=10) -> float:
@@ -242,25 +242,26 @@ def mode_decay_slope(table: SeriesTable, row_index, j_min=2, j_max=10) -> float:
 
 def _run_lowrank_exactness(cfg: ExperimentConfig) -> ExperimentResult:
     substeps = cfg.params["substeps"]
-    runs = {}
+    runs, summaries = {}, []
     for label, diag in (("rank1", [1.0]), ("rank3", [1.0, 0.5, 0.25])):
         flow = lowrank.rotating_flow(diag, m=12, n=10, seed=cfg.seed, y_dependent=False)
         y0 = lowrank.factorize(flow.exact_A(0.0), len(diag))
-        runs[label] = lowrank.integrate_lowrank(
-            flow, y0, 0.0, cfg.t_end, cfg.h, method=cfg.method,
-            substeps=substeps, record_every=cfg.record_every,
-        )
+        runs[label], run_summary, _ = _until_divergence(
+            cfg, lowrank.integrate_lowrank, flow, y0, 0.0, cfg.t_end, cfg.h, method=cfg.method,
+            substeps=substeps, record_every=cfg.record_every)
+        summaries.append(run_summary)
+    # The first divergence, if any; the table's rows stop with the shorter run.
+    summary = min(summaries, key=lambda run_summary: run_summary["steps"])
     table = SeriesTable(["t", "error_rank1", "best_rank1", "error_rank3", "best_rank3"],
                         [[rec1.t, rec1.error, rec1.best_error, rec3.error, rec3.best_error]
                          for rec1, rec3 in zip(runs["rank1"], runs["rank3"])])
-    summary = {
-        "steps": symplectic.step_count(cfg.h, cfg.t_end),
+    summary.update({
         "final_error_rank1": runs["rank1"][-1].error,
         "final_error_rank3": runs["rank3"][-1].error,
         "headline": (f"final_error_rank1={runs['rank1'][-1].error:.3g} "
                      f"final_error_rank3={runs['rank3'][-1].error:.3g}"),
-    }
-    return ExperimentResult(table, summary)
+    })
+    return ExperimentResult(table, summary, "diverged_at_step" in summary)
 
 
 def _run_lowrank_robustness(cfg: ExperimentConfig) -> ExperimentResult:
@@ -280,6 +281,8 @@ def _run_lowrank_robustness(cfg: ExperimentConfig) -> ExperimentResult:
         method=cfg.method,
     )
     envelope_ok = bool(np.all(table.column("within_envelope") == 1.0))
+    # An overflowing splitting run is recorded as ksl_error = inf.
+    diverged = bool(np.any(np.isinf(table.column("ksl_error"))))
     summary = {
         "steps": symplectic.step_count(cfg.h, cfg.t_end) * len(floors),
         "max_ksl_error": float(np.max(table.column("ksl_error"))),
@@ -287,7 +290,7 @@ def _run_lowrank_robustness(cfg: ExperimentConfig) -> ExperimentResult:
         "headline": (f"max_ksl_error={np.max(table.column('ksl_error')):.3g} "
                      f"envelope={'ok' if envelope_ok else 'violated'}"),
     }
-    return ExperimentResult(table, summary)
+    return ExperimentResult(table, summary, diverged)
 
 
 def _run_convergence_orders(cfg: ExperimentConfig) -> ExperimentResult:
@@ -297,24 +300,31 @@ def _run_convergence_orders(cfg: ExperimentConfig) -> ExperimentResult:
     method_list = list(KEPLER_METHODS) + list(LOWRANK_METHODS)
     rows = []
     orders = {}
+    diverged = False
     for index, method in enumerate(method_list):
-        if method in KEPLER_METHODS:
-            h_list = [cfg.params["kepler_h0"] * 0.5**k for k in range(levels)]
-            sub = convergence_table("kepler", method, h_list, t_end=cfg.t_end)
-        else:
-            h_list = [cfg.params["lowrank_h0"] * 0.5**k for k in range(levels)]
-            sub = convergence_table("lowrank-rotating", method, h_list,
-                                    t_end=cfg.t_end, substeps=cfg.params["substeps"],
-                                    seed=cfg.seed)
-        orders[method] = observed_order(sub)
+        try:
+            if method in KEPLER_METHODS:
+                h_list = [cfg.params["kepler_h0"] * 0.5**k for k in range(levels)]
+                sub = convergence_table("kepler", method, h_list, t_end=cfg.t_end)
+            else:
+                h_list = [cfg.params["lowrank_h0"] * 0.5**k for k in range(levels)]
+                sub = convergence_table("lowrank-rotating", method, h_list,
+                                        t_end=cfg.t_end, substeps=cfg.params["substeps"],
+                                        seed=cfg.seed)
+        except SolverDivergenceError as exc:
+            # The ladder stops here; the rungs completed so far are the rows.
+            sub, diverged = exc.records, True
         rows += [[float(index), *row] for row in sub.rows.tolist()]
+        if diverged:
+            break
+        orders[method] = observed_order(sub)
     table = SeriesTable(["method_index", "h", "error", "order"], rows)
     summary = {
-        "steps": levels * len(method_list),
+        "steps": len(rows),
         "orders": {k: round(v, 3) for k, v in orders.items()},
         "headline": " ".join(f"{k}={v:.2f}" for k, v in orders.items()),
     }
-    return ExperimentResult(table, summary)
+    return ExperimentResult(table, summary, diverged)
 
 
 @dataclass

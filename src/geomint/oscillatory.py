@@ -31,7 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError, InadmissibleStepError, ResonantStepError
+from .errors import (ContractViolationError, InadmissibleStepError, ResonantStepError,
+                     SolverDivergenceError)
 from .models.state import Trajectory
 from .models.systems import OscillatorySystem
 from .models.systems import oscillatory_energies  # noqa: F401 -- perfbench's tracer patches this name
@@ -320,7 +321,10 @@ def energy_table(sys: OscillatorySystem, trajectory: Trajectory) -> SeriesTable:
 def run_screened(sys, y0, filters, h, t_end, record_every=None) -> SeriesTable:
     """energy_table of a filtered run, after refusing an inadmissible h
     (InadmissibleStepError with the resonance report attached).
-    ``record_every`` defaults to max(1, steps // 2000)."""
+    ``record_every`` defaults to max(1, steps // 2000).  If step k leaves
+    the state non-finite, the raised SolverDivergenceError carries
+    ``step_index = k`` and the energy_table of the records before it in
+    ``records``."""
     report = resonance_report(sys, h)
     if not report.admissible:
         blocks = report.block_indices[~report.freq_admissible].tolist()
@@ -333,8 +337,12 @@ def run_screened(sys, y0, filters, h, t_end, record_every=None) -> SeriesTable:
     if record_every is None:
         record_every = max(1, step_count(h, t_end) // 2000)
     # A bare name, looked up here at call time: perfbench's tracer patches it.
-    trajectory = integrate(sys, TrigKernel(sys, filters), StepperConfig(step_size=float(h)), y0,
-                           t_end, record_every=record_every)
+    try:
+        trajectory = integrate(sys, TrigKernel(sys, filters), StepperConfig(step_size=float(h)), y0,
+                               t_end, record_every=record_every)
+    except SolverDivergenceError as exc:
+        exc.records = energy_table(sys, exc.records)
+        raise
     return energy_table(sys, trajectory)
 
 

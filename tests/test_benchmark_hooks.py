@@ -112,3 +112,23 @@ def test_traced_hamiltonian_jobs_compute_every_note(tmp_path):
     # and Klein-Gordon (40).
     assert metrics["symplectic.steps"] == 272
     assert metrics["oscillatory.trig_steps"] == 140
+
+
+def test_traced_lowrank_steps_count_every_qr(tmp_path):
+    # The splitting factors K and L through lowrank.qr_thin, where the tracer
+    # counts: two QRs per Lie step, four per Strang step (K, L of each half).
+    # A QR called by any other name would zero the benchmark's QR counts.
+    tracer_module = _load_perfbench_module("tracer")
+    jobs = {job.args[2]: job for job in _load_perfbench_module("workloads").WORKLOADS["lowrank"]
+            if job.args[0] == "lowrank-exactness"}
+    for method, qr_per_step in (("ksl", 2), ("ksl-strang", 4)):
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            args = [*jobs[method].args, "--t-end", "0.1"]  # h 0.05: two steps per flow
+            assert cli.main(["run", *args, "--output", str(tmp_path / f"{method}.csv")]) == 0
+        finally:
+            tracer.uninstall()
+        metrics = tracer_module.layer_metrics(tracer.spans)
+        assert metrics["lowrank.steps"] == 2 * 2, method  # two flows, rank 1 and rank 3
+        assert metrics["densela.qr_calls"] == qr_per_step * metrics["lowrank.steps"], method

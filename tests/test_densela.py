@@ -45,6 +45,11 @@ def orthonormality_defect(q):
     return np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
 
 
+def lower_sign_bits(r):
+    """Sign bits of the strictly lower triangle (set for -0.0)."""
+    return np.signbit(r[np.tril_indices_from(r, -1)])
+
+
 # ---------------------------------------------------------------- as_matrix
 
 
@@ -106,10 +111,61 @@ def test_qr_thin_properties_on_graded_matrices(a):
     assert q.shape == a.shape and r.shape == (n, n)
     assert orthonormality_defect(q) <= PROPERTY_TOL
     assert np.array_equal(r, np.triu(r))
+    assert not lower_sign_bits(r).any()  # +0.0, not -0.0
     assert np.all(np.diag(r) >= 0.0)
     # Column by column, so that the smallest columns count as much as the largest.
     residual = np.linalg.norm(q @ r - a, axis=0)
     assert np.all(residual <= PROPERTY_TOL * np.linalg.norm(a, axis=0))
+
+
+# The shapes of K = U S and L = V S^T in the low-rank workloads, and a
+# single column.
+QR_SHAPES = [(40, 8), (12, 4), (12, 3), (12, 1)]
+
+
+@st.composite
+def tall_gaussian(draw):
+    m, n = draw(st.sampled_from(QR_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng, rng.standard_normal((m, n))
+
+
+@given(draw=tall_gaussian())
+def test_qr_thin_q_is_unique_under_triangular_column_mixing(draw):
+    # Q R = A and Q (R T) = A T with R T upper triangular of positive
+    # diagonal: a QR whose sign convention makes it unique returns the same Q.
+    rng, a = draw
+    n = a.shape[1]
+    t = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1) + np.diag(rng.uniform(0.5, 2.0, n))
+    q, r = qr_thin(a)
+    q_mixed, r_mixed = qr_thin(a @ t)
+    assert np.linalg.norm(q - q_mixed) <= 1e-12
+    assert not lower_sign_bits(r).any() and not lower_sign_bits(r_mixed).any()
+
+
+@given(draw=tall_gaussian(), zero=st.booleans(), column=st.integers(0, 7))
+def test_qr_thin_reports_a_dependent_or_zero_column_as_an_exact_zero(draw, zero, column):
+    rng, a = draw
+    n = a.shape[1]
+    k = column % n
+    if zero or k == 0:
+        a[:, k] = 0.0
+    else:
+        a[:, k] = a[:, :k] @ rng.standard_normal(k)
+    q, r = qr_thin(a)
+    assert r[k, k] == 0.0
+    assert orthonormality_defect(q) <= 1e-13
+    assert not lower_sign_bits(r).any()
+    assert np.linalg.norm(q @ r - a) <= 1e-13 * np.linalg.norm(a)
+
+
+@given(draw=tall_gaussian(), value=st.sampled_from([np.nan, np.inf, -np.inf]),
+       index=st.integers(0, 319))
+def test_qr_thin_refuses_non_finite_input_before_factoring(draw, value, index):
+    _, a = draw
+    a.flat[index % a.size] = value
+    with pytest.raises(ContractViolationError):
+        qr_thin(a)
 
 
 def test_qr_completes_degenerate_columns():

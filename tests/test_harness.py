@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geomint import oscillatory
-from geomint.errors import ContractViolationError, GeomintError
+from geomint import lowrank, oscillatory
+from geomint.errors import ContractViolationError, GeomintError, SolverDivergenceError
 from geomint.harness import cli, convergence, csvio, experiments
 from geomint.series import SeriesTable
 
@@ -384,6 +384,74 @@ def test_kepler_divergence_writes_its_partial_csv(tmp_path, capsys):
     assert table.column("t").tolist() == [0.0, 0.5, 1.0]  # steps 0, 10 and 20
 
 
+def test_overflowing_robustness_floors_are_recorded_as_inf(tmp_path, capsys):
+    # At speed 1e300 every splitting run overflows in its first K substep;
+    # each floor is still a row, outside the envelope, as an overflowing
+    # naive run is.
+    dest = tmp_path / "robustness.csv"
+    code = cli.main(["run", "lowrank-robustness", "--param", "speed=1e300", "--t-end", "0.2",
+                     "--output", str(dest)])
+    assert code == 3
+    assert "status=diverged" in capsys.readouterr().out
+    table = csvio.parse_csv(dest)
+    assert table.column("floor_exponent").tolist() == [10.0, 20.0, 30.0, 40.0]
+    assert np.all(table.column("ksl_error") == np.inf)
+    assert np.all(table.column("within_envelope") == 0.0)
+
+
+def test_convergence_ladder_divergence_writes_the_completed_rungs(tmp_path, capsys):
+    # Implicit Euler's Newton solve fails on its coarsest rung (h = 0.1);
+    # explicit Euler's three rungs were completed before it.
+    dest = tmp_path / "orders.csv"
+    code = cli.main(["run", "convergence-orders", "--param", "kepler_h0=0.1",
+                     "--param", "levels=3", "--t-end", "1", "--output", str(dest)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "steps=3 " in out and "status=diverged" in out
+    table = csvio.parse_csv(dest)
+    assert table.columns == ["method_index", "h", "error", "order"]
+    assert table.column("method_index").tolist() == [0.0, 0.0, 0.0]
+    assert table.column("h").tolist() == [0.1, 0.05, 0.025]
+    assert math.isnan(table.column("order")[0]) and np.all(np.isfinite(table.column("order")[1:]))
+
+
+@pytest.mark.parametrize("method, steps", [("trig-mollified", 20), ("trig-impulse", 19)])
+def test_oscillatory_divergence_writes_its_partial_csv(tmp_path, capsys, method, steps):
+    # h = 0.5 is admissible for omega = 10, but the filtered run blows up.
+    dest = tmp_path / "exchange.csv"
+    code = cli.main(["run", "fpu-exchange", "--method", method, "--h", "0.5",
+                     "--param", "omega=10", "--t-end", "200", "--output", str(dest)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert f"steps={steps} " in out and "status=diverged" in out
+    table = csvio.parse_csv(dest)
+    assert table.columns[0] == "t" and 1 <= len(table) and np.all(np.isfinite(table.rows))
+
+
+def test_convergence_table_divergence_carries_the_completed_rungs():
+    with pytest.raises(SolverDivergenceError) as caught:
+        convergence.convergence_table("kepler", "implicit-euler", [0.4, 0.2, 0.1], t_end=1.0)
+    assert isinstance(caught.value.records, SeriesTable)
+    assert caught.value.records.columns == ["h", "error", "order"]
+
+
+def test_exactness_divergence_writes_the_records_so_far(tmp_path, capsys, monkeypatch):
+    # The exactness families cannot overflow at their own speed, so the
+    # flow is built at speed 1e300: both runs overflow at step 1, after
+    # their initial record.
+    build = lowrank.rotating_flow
+    monkeypatch.setattr(lowrank, "rotating_flow", lambda *args, **kwargs: build(
+        *args, **{**kwargs, "speed": 1e300}))
+    dest = tmp_path / "exactness.csv"
+    code = cli.main(["run", "lowrank-exactness", "--t-end", "0.2", "--output", str(dest)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "steps=1 " in out and "status=diverged" in out
+    table = csvio.parse_csv(dest)
+    assert table.column("t").tolist() == [0.0]
+    assert table.rows[0, 1] <= 1e-12 and table.rows[0, 3] <= 1e-12
+
+
 def test_unresolvable_step_product_is_refused_by_the_screen(tmp_path, capsys):
     # h * omega = 2e306: neighbouring doubles lie far more than sqrt(h)
     # apart there, so the screen cannot tell a resonance and refuses.
@@ -550,6 +618,8 @@ def _cli_argvs(draw):
 @example(argv=["run", "fpu-resonance-scan", "--param", "n_points=-1"])
 @example(argv=["run", "lowrank-robustness", "--t-end", "0.2", "--param", "tail_scale=1e300"])
 @example(argv=["run", "lowrank-robustness", "--t-end", "0.2", "--param", "speed=1e300"])
+@example(argv=["run", "convergence-orders", "--t-end", "1", "--param", "kepler_h0=0.1",
+               "--param", "levels=3"])
 @example(argv=["run", "lowrank-exactness", "--t-end", "0.2", "--seed", "-1"])
 @settings(max_examples=150)
 def test_cli_fuzz_keeps_the_exit_code_contract(argv):
@@ -565,8 +635,7 @@ def test_cli_fuzz_keeps_the_exit_code_contract(argv):
         if code == 2:
             assert not dest.exists()
         if code == 3:
-            # A run that returns its rows reports status=diverged and writes
-            # them; one whose divergence escapes the experiment writes none.
-            diverged = "status=diverged" in out.getvalue()
-            assert dest.exists() == diverged, err.getvalue()
-            assert diverged or "geomint: solver diverged:" in err.getvalue()
+            # Every divergence is a recorded outcome: the rows finished
+            # before it are written, and stdout says so.
+            assert dest.exists(), err.getvalue()
+            assert "status=diverged" in out.getvalue(), out.getvalue()
