@@ -80,6 +80,8 @@ class OscillatorySystem(SeparableSystem):
         dims = np.asarray(block_dims, dtype=int)
         if freqs.ndim != 1 or dims.shape != freqs.shape:
             raise ContractViolationError("frequencies and block_dims must be 1-d, same length")
+        if not np.all(np.isfinite(freqs)):
+            raise ContractViolationError("frequencies must be finite")
         if np.any(freqs < 0.0):
             raise ContractViolationError("frequencies must be nonnegative")
         if np.any(freqs[1:] <= 0.0):

@@ -117,7 +117,9 @@ def test_traced_hamiltonian_jobs_compute_every_note(tmp_path):
 def test_traced_lowrank_steps_count_every_qr(tmp_path):
     # The splitting factors K and L through lowrank.qr_thin, where the tracer
     # counts: two QRs per Lie step, four per Strang step (K, L of each half).
-    # A QR called by any other name would zero the benchmark's QR counts.
+    # The SVDs go through lowrank.svd_full (one per record) and densela's
+    # svd_full (one per factorize, via truncated_svd).  A QR or SVD called by
+    # any other name would zero the benchmark's QR or SVD counts.
     tracer_module = _load_perfbench_module("tracer")
     jobs = {job.args[2]: job for job in _load_perfbench_module("workloads").WORKLOADS["lowrank"]
             if job.args[0] == "lowrank-exactness"}
@@ -132,3 +134,5 @@ def test_traced_lowrank_steps_count_every_qr(tmp_path):
         metrics = tracer_module.layer_metrics(tracer.spans)
         assert metrics["lowrank.steps"] == 2 * 2, method  # two flows, rank 1 and rank 3
         assert metrics["densela.qr_calls"] == qr_per_step * metrics["lowrank.steps"], method
+        # Per flow: three records (t = 0, 0.05, 0.1) and one factorize.
+        assert metrics["densela.svd_calls"] == 2 * (3 + 1), method

@@ -29,11 +29,13 @@ def random_matrix(rng, m, n, rank=None):
 @st.composite
 def graded_matrices(draw):
     """A workload-shaped matrix whose column scales, or singular values,
-    spread over up to twelve decades, as the low-rank benchmarks' do."""
+    spread over up to twelve decades, as the low-rank benchmarks' do, and
+    whose trailing ones are sometimes exactly zero (rank-deficient input)."""
     m, n = draw(st.sampled_from(WORKLOAD_SHAPES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = min(m, n)
     grading = 10.0 ** -np.sort(rng.uniform(0.0, draw(st.floats(0.0, 12.0)), k))
+    grading[k - draw(st.integers(0, k - 1)):] = 0.0
     if draw(st.booleans()):
         return rng.standard_normal((m, n)) * grading
     u = np.linalg.qr(rng.standard_normal((m, k)))[0]

@@ -322,6 +322,13 @@ def test_contract_violation_maps_to_exit_two(tmp_path):
         "--h", "0.1", "--t-end", "1", "--param", "spin=1",
         "--output", str(tmp_path / "y.csv"),
     ]) == 2
+    # An infinite frequency or Klein-Gordon mass is refused before any row.
+    for args in (["fpu-resonance-scan", "--param", "omega=inf"],
+                 ["fpu-exchange", "--param", "omega=inf"],
+                 ["klein-gordon-decay", "--param", "rho=inf"]):
+        dest = tmp_path / f"{args[0]}.csv"
+        assert cli.main(["run", *args, "--output", str(dest)]) == 2, args
+        assert not dest.exists(), args
 
 
 @pytest.mark.parametrize("experiment, flag, value", [

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from geomint import models, symplectic
@@ -330,6 +330,36 @@ def test_klein_gordon_linear_modes_are_exact():
     assert np.max(np.abs(records.p[-1] - p_ref)) <= 1e-12
 
 
+@st.composite
+def uncoupled_systems(draw):
+    """1-5 positive frequencies in [0.5, 60], sometimes after a zero-frequency
+    block, each block of dimension 1 or 2, and U = 0."""
+    freqs = draw(st.lists(st.floats(0.5, 60.0), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        freqs = [0.0, *freqs]
+    dims = draw(st.lists(st.integers(1, 2), min_size=len(freqs), max_size=len(freqs)))
+    return OscillatorySystem(frequencies=freqs, block_dims=dims, eval_U=no_coupling,
+                             grad_U=np.zeros_like)
+
+
+@given(sys=uncoupled_systems(), h=st.floats(1e-3, 0.1), n_steps=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_uncoupled_admissible_spectra_are_integrated_exactly(sys, h, n_steps, seed):
+    assume(resonance_report(sys, h).admissible)
+    rng = np.random.default_rng(seed)
+    y0 = PhaseState(p=rng.standard_normal(sys.dim), q=rng.standard_normal(sys.dim))
+    omega = sys.omega
+    for pair in (MOLLIFIED, IMPULSE):
+        records = trig_run(sys, pair, h, y0, n_steps * h, record_every=10**9)
+        t_f = records.t[-1]
+        # The exact rotation of every block; t sinc(omega t) = sin(omega t) / omega
+        # is also the free flight of the zero-frequency block.
+        q_ref = y0.q * np.cos(omega * t_f) + y0.p * t_f * sinc(omega * t_f)
+        p_ref = -omega * y0.q * np.sin(omega * t_f) + y0.p * np.cos(omega * t_f)
+        assert np.max(np.abs(records.q[-1] - q_ref)) <= 1e-10
+        assert np.max(np.abs(records.p[-1] - p_ref) / np.maximum(1.0, omega)) <= 1e-10
+
+
 def test_step_is_time_symmetric():
     sys, y0 = fpu()
     fwd = trig_step(sys, MOLLIFIED, 0.02, y0)
@@ -363,6 +393,9 @@ def test_oscillatory_system_frequency_layout():
                           eval_U=no_coupling, grad_U=lambda q: np.zeros(1))
     with pytest.raises(ContractViolationError):
         OscillatorySystem(frequencies=[0.0, 0.0], block_dims=[1, 1],
+                          eval_U=no_coupling, grad_U=lambda q: np.zeros(2))
+    with pytest.raises(ContractViolationError):
+        OscillatorySystem(frequencies=[0.0, np.inf], block_dims=[1, 1],
                           eval_U=no_coupling, grad_U=lambda q: np.zeros(2))
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from geomint import fdtools, models, symplectic
 from geomint.errors import ContractViolationError, SolverDivergenceError
-from geomint.models import PhaseState
+from geomint.models import PhaseState, SeparableSystem
 from geomint.symplectic import (
     EulerVariant,
     StepperConfig,
@@ -301,6 +301,34 @@ def test_symplecticity_defect_symplectic_euler_pendulum():
     y = PhaseState(p=np.array([0.3]), q=np.array([0.7]))
     d = symplecticity_defect(pend, "symplectic-euler-pq", cfg(0.1), y)
     assert d <= 1e-6
+
+
+@st.composite
+def quadratic_systems(draw):
+    """V(q) = q^T A q / 2 with A random SPD, ||A||_2 in [0.1, 10] and
+    condition number at most 10, a diagonal mass_inverse in [0.2, 5], and a
+    random state."""
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    eigenvalues = rng.uniform(0.1, 1.0, d)
+    eigenvalues *= draw(st.floats(0.1, 10.0)) / eigenvalues.max()
+    a = (basis * eigenvalues) @ basis.T
+    a = 0.5 * (a + a.T)
+    sys = SeparableSystem(mass_inverse=np.diag(rng.uniform(0.2, 5.0, d)),
+                          eval_V=lambda q: 0.5 * float(q @ (a @ q)), grad_V=lambda q: a @ q)
+    return sys, a, PhaseState(p=rng.standard_normal(d), q=rng.standard_normal(d))
+
+
+@given(problem=quadratic_systems(), h=st.floats(1e-3, 0.2))
+def test_symplecticity_defect_on_random_quadratic_potentials(problem, h):
+    sys, a, y = problem
+    for method in ("symplectic-euler-qp", "symplectic-euler-pq", "stormer-verlet"):
+        assert symplecticity_defect(sys, method, cfg(h), y) <= 1e-7, method
+    # Explicit Euler's defect is sqrt(2) h^2 ||M^-1 A||_F exactly, at least
+    # sqrt(2) h^2 ||M^-1||_2 lambda_min(A) >= 0.14 h^2 ||M^-1||_2 ||A||_2.
+    bound = 0.1 * h**2 * np.linalg.norm(sys.mass_inverse, 2) * np.linalg.norm(a, 2)
+    assert symplecticity_defect(sys, "explicit-euler", cfg(h), y) >= bound
 
 
 def test_symplecticity_defect_zero_step():
