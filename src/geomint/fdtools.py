@@ -1,21 +1,12 @@
-"""Centered finite-difference helpers for gradient and Jacobian checks."""
+"""Centered finite-difference Jacobians: Newton's solves and the
+symplecticity diagnostic.  A gradient of a scalar f is the one-row
+Jacobian ``central_jacobian(lambda x: [f(x)], x, step)[0]``."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ContractViolationError
-
-
-def central_gradient(f, x, step=1e-6):
-    """Centered-difference gradient of a scalar function at ``x``."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = step
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
-    return g
 
 
 def central_jacobian(f, x, step=1e-6):

@@ -113,14 +113,6 @@ class ExperimentResult:
     diverged: bool = False
 
 
-def _energy_columns(trajectory, eval_H):
-    """H at every record (one eval_H call each) and its drift relative to H(0)."""
-    h_values = np.array([eval_H(p, q) for p, q in zip(trajectory.p, trajectory.q)])
-    h0 = h_values[0]
-    rel = (h_values - h0) / abs(h0)
-    return h_values, rel
-
-
 def _until_divergence(cfg: ExperimentConfig, run, *args, **kwargs):
     """run(*args, **kwargs), a summary and the divergence flag; a run that
     diverges at step k is a recordable outcome: the records so far that
@@ -138,10 +130,11 @@ def _run_solar(cfg: ExperimentConfig) -> ExperimentResult:
     trajectory, summary, diverged = _until_divergence(
         cfg, symplectic.integrate, sys, cfg.method, stepper, y0, cfg.t_end,
         record_every=cfg.record_every)
-    h_vals, rel = _energy_columns(trajectory, sys.eval_H)
+    energy = symplectic.first_integral_series(trajectory, {"H": sys.eval_H})
+    rel = energy.column("H_rel_drift")
     table = SeriesTable(
         ["t", "H", "rel_H_err", "r_J", "r_S", "r_U", "r_N", "r_P"],
-        np.column_stack([trajectory.t, h_vals, rel, heliocentric_distances(data, trajectory)]),
+        np.column_stack([trajectory.t, energy.column("H"), rel, heliocentric_distances(data, trajectory)]),
     )
     summary["max_rel_H_err"] = float(np.max(np.abs(rel)))
     summary["headline"] = f"max_rel_H_err={summary['max_rel_H_err']:.6g}"
@@ -153,11 +146,12 @@ def _run_kepler_longtime(cfg: ExperimentConfig) -> ExperimentResult:
     trajectory, summary, diverged = _until_divergence(
         cfg, symplectic.integrate, sys, cfg.method, kepler_stepper(cfg.method, cfg.h), y0,
         cfg.t_end, record_every=cfg.record_every)
-    h_vals, rel = _energy_columns(trajectory, sys.eval_H)
+    energy = symplectic.first_integral_series(trajectory, {"H": sys.eval_H})
+    rel = energy.column("H_rel_drift")
     ell = angular_momentum_2d(trajectory)
     l_drift = ell - ell[0]
     table = SeriesTable(["t", "H", "rel_H_err", "L", "L_drift"],
-                        np.column_stack([trajectory.t, h_vals, rel, ell, l_drift]))
+                        np.column_stack([trajectory.t, energy.column("H"), rel, ell, l_drift]))
     max_l_drift = float(np.max(np.abs(l_drift)))
     summary["max_rel_H_err"] = float(np.max(np.abs(rel)))
     summary["max_L_drift"] = max_l_drift

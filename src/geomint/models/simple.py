@@ -14,7 +14,7 @@ from .systems import SeparableSystem
 def make_harmonic_oscillator():
     """H = (p^2 + q^2) / 2, unit frequency, one degree of freedom."""
     return SeparableSystem(
-        mass_inverse=np.eye(1),
+        inverse_masses=np.ones(1),
         eval_V=lambda q: 0.5 * float(q @ q),
         grad_V=lambda q: q.copy(),
         name="harmonic",
@@ -24,7 +24,7 @@ def make_harmonic_oscillator():
 def make_pendulum():
     """H = p^2 / 2 - cos(q)."""
     return SeparableSystem(
-        mass_inverse=np.eye(1),
+        inverse_masses=np.ones(1),
         eval_V=lambda q: -float(np.cos(q[0])),
         grad_V=lambda q: np.sin(q),
         name="pendulum",
@@ -53,7 +53,7 @@ def make_kepler(eccentricity):
     if not 0.0 <= e < 1.0:
         raise ContractViolationError(f"eccentricity must be in [0, 1), got {e}")
     sys = SeparableSystem(
-        mass_inverse=np.eye(2),
+        inverse_masses=np.ones(2),
         eval_V=_kepler_V,
         grad_V=_kepler_grad_V,
         name="kepler",

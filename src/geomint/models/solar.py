@@ -127,11 +127,9 @@ def make_outer_solar_system(path=None):
     on stacked 3-vectors, so dim = 3 * n_bodies.
     """
     data = load_nbody_data(path)
-    n = data.n_bodies
-    inv_mass = np.repeat(1.0 / data.masses, 3)
     pot = _NBodyPotential(data.masses, GRAVITATIONAL_CONSTANT)
     sys = SeparableSystem(
-        mass_inverse=np.diag(inv_mass),
+        inverse_masses=np.repeat(1.0 / data.masses, 3),
         eval_V=pot.eval_V,
         grad_V=pot.grad_V,
         name="outer-solar-system",

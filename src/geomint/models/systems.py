@@ -1,12 +1,13 @@
 """System types: separable and oscillatory.
 
-A SeparableSystem has H(p, q) = p^T M^{-1} p / 2 + V(q) and exposes
-``dim``, ``eval_H(p, q)``, ``grad_p(p, q)`` and ``grad_q(p, q)``; the
-canonical equations are then
+A SeparableSystem has H(p, q) = p^T M^{-1} p / 2 + V(q) with a diagonal
+mass matrix M, given by the vector of its inverse diagonal; it exposes
+``dim``, ``eval_H(p, q)``, ``eval_V(q)`` and ``grad_V(q)``.  The canonical
+equations are then
 
-    dp/dt = -grad_q H = -grad V(q),    dq/dt = +grad_p H = M^{-1} p.
+    dp/dt = -grad V(q),    dq/dt = M^{-1} p = inverse_masses * p.
 
-Separability is what lets the mixed Euler variants and the three-stage
+Separability is what lets the mixed Euler methods and the three-stage
 method run explicitly.  OscillatorySystem further specializes to unit
 mass with a quadratic frequency part plus a smooth coupling potential U.
 """
@@ -23,37 +24,30 @@ from ..errors import ContractViolationError
 
 @dataclass
 class SeparableSystem:
-    """H(p, q) = p^T mass_inverse p / 2 + V(q).
+    """H(p, q) = p^T diag(inverse_masses) p / 2 + V(q).
 
-    ``mass_inverse`` must be symmetric (checked to 1e-14 relative).
+    ``inverse_masses`` must be a non-empty 1-d array of positive finite
+    values.
     """
 
-    mass_inverse: np.ndarray
+    inverse_masses: np.ndarray
     eval_V: Callable
     grad_V: Callable
     name: str = "separable"
 
     def __post_init__(self):
-        m = np.asarray(self.mass_inverse, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ContractViolationError(f"mass_inverse must be square, got {m.shape}")
-        scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m - m.T).max() > 1e-14 * scale:
-            raise ContractViolationError("mass_inverse must be symmetric")
-        self.mass_inverse = m
+        m = np.asarray(self.inverse_masses, dtype=float)
+        if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m) & (m > 0.0)):
+            raise ContractViolationError(
+                f"inverse_masses must be a non-empty 1-d array of positive finite values, got {m!r}")
+        self.inverse_masses = m
 
     @property
     def dim(self):
-        return self.mass_inverse.shape[0]
+        return self.inverse_masses.size
 
     def eval_H(self, p, q):
-        return 0.5 * float(p @ (self.mass_inverse @ p)) + float(self.eval_V(q))
-
-    def grad_p(self, p, q):
-        return self.mass_inverse @ p
-
-    def grad_q(self, p, q):
-        return self.grad_V(q)
+        return 0.5 * float(p @ (self.inverse_masses * p)) + float(self.eval_V(q))
 
 
 @dataclass
@@ -101,7 +95,7 @@ class OscillatorySystem(SeparableSystem):
             self._block_slices.append(slice(start, start + int(nd)))
             start += int(nd)
         super().__init__(
-            mass_inverse=np.eye(d),
+            inverse_masses=np.ones(d),
             eval_V=self._eval_V,
             grad_V=self._grad_V,
             name=name,

@@ -278,6 +278,7 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def energy_table(sys: OscillatorySystem, trajectory: Trajectory) -> SeriesTable:
     """Energies along an integrate() trajectory: columns t, E_j for every
     positive-frequency block j, H_omega, H_slow, H and H_rel_drift
@@ -287,7 +288,8 @@ def energy_table(sys: OscillatorySystem, trajectory: Trajectory) -> SeriesTable:
     bit for bit.  The table is built column by column from the
     trajectory's arrays: each block's energies over all records at once,
     summed in the same order, and U from one eval_U call on the stacked
-    positions.
+    positions.  The energies of a blown-up record are inf or nan, as
+    integrate() lets them be, without a RuntimeWarning.
     """
     if not isinstance(trajectory, Trajectory):
         raise ContractViolationError(f"energy_table needs a Trajectory, got {type(trajectory).__name__}")

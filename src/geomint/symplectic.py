@@ -1,17 +1,18 @@
 """Fixed-step one-step methods for separable Hamiltonian systems.
 
-For H(p, q) = p^T M^{-1} p / 2 + V(q), four Euler variants, indexed by
-(alpha, beta) in {0, 1}^2, all read
+For H(p, q) = p^T M^{-1} p / 2 + V(q) with diagonal M, the four Euler
+methods all read
 
-    p1 = p - h * grad V(q_{beta})
-    q1 = q + h * M^{-1} p_{alpha}
+    p1 = p - h * grad V(q_b)
+    q1 = q + h * M^{-1} p_a
 
-where the subscript 0 picks the old value and 1 the new one.  (0,0) is
-the explicit method, (1,1) the implicit one, and the two mixed variants
-are the symplectic Euler methods.  The three-stage method (half kick,
-full drift, half kick) is their symmetric composition.  Every variant
-except (1,1) runs explicitly; its position equation is solved by
-fixed-point iteration or by a finite-difference Newton method.
+where each of a and b picks the old value (0) or the new one (1).
+a = b = 0 is the explicit method, a = b = 1 the implicit one, and the
+two mixed choices are the symplectic Euler methods.  The three-stage
+Stormer-Verlet method (half kick, full drift, half kick) is their
+symmetric composition.  Every method except implicit Euler runs
+explicitly; its position equation is solved by fixed-point iteration or
+by a finite-difference Newton method.
 
 Diagnostics measure, by centered finite differences of the step map,
 how well a method preserves the symplectic two-form and whether it is
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -40,56 +40,35 @@ _SOLVERS = ("fixed-point", "newton")
 MAX_STEPS = 10**8
 
 
-@dataclass(frozen=True)
-class EulerVariant:
-    """Argument selector (alpha, beta) for the Euler family."""
-
-    alpha: int
-    beta: int
-
-    def __post_init__(self):
-        if self.alpha not in (0, 1) or self.beta not in (0, 1):
-            raise ContractViolationError(
-                f"variant indices must be 0 or 1, got ({self.alpha}, {self.beta})"
-            )
-
-
-EXPLICIT_EULER = EulerVariant(0, 0)
-IMPLICIT_EULER = EulerVariant(1, 1)
-SYMPLECTIC_EULER_PQ = EulerVariant(1, 0)  # new p enters first
-SYMPLECTIC_EULER_QP = EulerVariant(0, 1)  # new q enters first
+# Implicit solves stop at a max-norm residual of SOLVER_TOL relative to
+# the state scale, or give up after SOLVER_MAX_ITER iterations.
+SOLVER_TOL = 1e-12
+SOLVER_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Step size plus implicit-solve parameters.
+    """Step size plus the implicit solver, ``fixed-point`` or ``newton``.
 
     ``step_size`` must be finite; integrate() additionally requires it
     positive, while the symmetry diagnostic deliberately runs steps with
-    the sign flipped.  The solver tolerance is a max-norm residual
-    relative to the state scale.
+    the sign flipped.
     """
 
     step_size: float
     solver: str = "fixed-point"
-    solver_tol: float = 1e-12
-    solver_max_iter: int = 50
 
     def __post_init__(self):
         if not np.isfinite(self.step_size):
             raise ContractViolationError(f"step_size must be finite, got {self.step_size}")
         if self.solver not in _SOLVERS:
             raise ContractViolationError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
-        if not 0.0 < self.solver_tol < 1.0:
-            raise ContractViolationError(f"solver_tol must be in (0, 1), got {self.solver_tol}")
-        if self.solver_max_iter < 1:
-            raise ContractViolationError("solver_max_iter must be at least 1")
 
 
-def _fixed_point(map_fn, x0, tol, max_iter):
+def _fixed_point(map_fn, x0):
     x = x0
     residual = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, SOLVER_MAX_ITER + 1):
         x_new = map_fn(x)
         if not np.all(np.isfinite(x_new)):
             raise SolverDivergenceError(
@@ -98,21 +77,21 @@ def _fixed_point(map_fn, x0, tol, max_iter):
                 residual=float("inf"),
             )
         residual = float(np.max(np.abs(x_new - x)))
-        if residual <= tol * (1.0 + float(np.max(np.abs(x_new)))):
+        if residual <= SOLVER_TOL * (1.0 + float(np.max(np.abs(x_new)))):
             return x_new
         x = x_new
     raise SolverDivergenceError(
-        f"fixed-point iteration did not converge in {max_iter} iterations "
+        f"fixed-point iteration did not converge in {SOLVER_MAX_ITER} iterations "
         f"(last update {residual:.3e})",
-        iterations=max_iter,
+        iterations=SOLVER_MAX_ITER,
         residual=residual,
     )
 
 
-def _newton(residual_fn, x0, tol, max_iter):
+def _newton(residual_fn, x0):
     x = x0.copy()
     residual = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, SOLVER_MAX_ITER + 1):
         r = residual_fn(x)
         if not np.all(np.isfinite(r)):
             raise SolverDivergenceError(
@@ -121,7 +100,7 @@ def _newton(residual_fn, x0, tol, max_iter):
                 residual=float("inf"),
             )
         residual = float(np.max(np.abs(r)))
-        if residual <= tol * (1.0 + float(np.max(np.abs(x)))):
+        if residual <= SOLVER_TOL * (1.0 + float(np.max(np.abs(x)))):
             return x
         jac = central_jacobian(residual_fn, x, step=1e-7)
         try:
@@ -134,17 +113,11 @@ def _newton(residual_fn, x0, tol, max_iter):
             ) from exc
         x = x - dx
     raise SolverDivergenceError(
-        f"Newton iteration did not converge in {max_iter} iterations "
+        f"Newton iteration did not converge in {SOLVER_MAX_ITER} iterations "
         f"(last residual {residual:.3e})",
-        iterations=max_iter,
+        iterations=SOLVER_MAX_ITER,
         residual=residual,
     )
-
-
-def _solve(cfg, map_fn, residual_fn, x0):
-    if cfg.solver == "fixed-point":
-        return _fixed_point(map_fn, x0, cfg.solver_tol, cfg.solver_max_iter)
-    return _newton(residual_fn, x0, cfg.solver_tol, cfg.solver_max_iter)
 
 
 def _require_separable(sys):
@@ -152,28 +125,32 @@ def _require_separable(sys):
         raise ContractViolationError(f"steppers need a SeparableSystem, got {type(sys).__name__}")
 
 
-def _euler_kernel(variant, sys, cfg, h, p, q, g=None):
-    # No variant evaluates grad V where its next step starts, so nothing
-    # is carried: ``g`` is ignored and the returned gradient is None.
-    a, b = variant.alpha, variant.beta
-    if a == 0 and b == 0:
-        return p - h * sys.grad_V(q), q + h * (sys.mass_inverse @ p), None
-    if a == 1 and b == 0:
-        p1 = p - h * sys.grad_V(q)
-        return p1, q + h * (sys.mass_inverse @ p1), None
-    if a == 0 and b == 1:
-        q1 = q + h * (sys.mass_inverse @ p)
-        return p - h * sys.grad_V(q1), q1, None
-    # (1, 1): only the position equation is genuinely implicit.
-    minv = sys.mass_inverse
+# Kernels: (sys, cfg, h, p, q, g=None) -> (p1, q1, g1); see resolve_method.
+# No Euler method evaluates grad V where its next step starts, so nothing
+# is carried: ``g`` is ignored and the returned gradient is None.
 
-    def q_map(q1):
-        return q + h * (minv @ (p - h * sys.grad_V(q1)))
 
-    def q_residual(q1):
-        return q1 - q - h * (minv @ (p - h * sys.grad_V(q1)))
+def _explicit_euler(sys, cfg, h, p, q, g=None):
+    return p - h * sys.grad_V(q), q + h * (sys.inverse_masses * p), None
 
-    q1 = _solve(cfg, q_map, q_residual, q)
+
+def _symplectic_euler_pq(sys, cfg, h, p, q, g=None):
+    p1 = p - h * sys.grad_V(q)
+    return p1, q + h * (sys.inverse_masses * p1), None
+
+
+def _symplectic_euler_qp(sys, cfg, h, p, q, g=None):
+    q1 = q + h * (sys.inverse_masses * p)
+    return p - h * sys.grad_V(q1), q1, None
+
+
+def _implicit_euler(sys, cfg, h, p, q, g=None):
+    # Only the position equation is genuinely implicit.
+    minv = sys.inverse_masses
+    if cfg.solver == "fixed-point":
+        q1 = _fixed_point(lambda q1: q + h * (minv * (p - h * sys.grad_V(q1))), q)
+    else:
+        q1 = _newton(lambda q1: q1 - q - h * (minv * (p - h * sys.grad_V(q1))), q)
     return p - h * sys.grad_V(q1), q1, None
 
 
@@ -181,16 +158,16 @@ def _verlet_kernel(sys, cfg, h, p, q, g=None):
     if g is None:
         g = sys.grad_V(q)
     p_half = p - 0.5 * h * g
-    q1 = q + h * (sys.mass_inverse @ p_half)
+    q1 = q + h * (sys.inverse_masses * p_half)
     g1 = sys.grad_V(q1)
     return p_half - 0.5 * h * g1, q1, g1
 
 
 METHOD_IDS = {
-    "explicit-euler": partial(_euler_kernel, EXPLICIT_EULER),
-    "implicit-euler": partial(_euler_kernel, IMPLICIT_EULER),
-    "symplectic-euler-qp": partial(_euler_kernel, SYMPLECTIC_EULER_QP),
-    "symplectic-euler-pq": partial(_euler_kernel, SYMPLECTIC_EULER_PQ),
+    "explicit-euler": _explicit_euler,
+    "implicit-euler": _implicit_euler,
+    "symplectic-euler-qp": _symplectic_euler_qp,
+    "symplectic-euler-pq": _symplectic_euler_pq,
     "stormer-verlet": _verlet_kernel,
 }
 
@@ -203,7 +180,7 @@ def resolve_method(method: MethodSpec):
     Kernels have signature (sys, cfg, h, p, q, g=None) -> (p1, q1, g1) on
     raw arrays.  ``g1`` is the gradient term the kernel evaluated at the
     new position q1, or None from a kernel that has none to hand on (the
-    Euler variants).  ``g`` is that value from the previous step of the
+    Euler methods).  ``g`` is that value from the previous step of the
     same size h, ending at q, or None to have it evaluated afresh.
     integrate() carries it from step to step, so Stormer-Verlet and the
     trigonometric kernels evaluate one gradient per step ("first same as

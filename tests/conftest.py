@@ -13,7 +13,8 @@ settings.load_profile("deterministic")
 
 
 def gradient_max_relerr(sys, states, step=1e-6):
-    """Worst relative mismatch between grad_q/grad_p and centered differences.
+    """Worst relative mismatch between the analytic gradients of H, grad V(q)
+    in q and inverse_masses * p in p, and centered differences.
 
     ``states`` is an iterable of PhaseState.  The denominator is the gradient
     norm at the state (or 1 when the gradient vanishes), so the result is
@@ -22,8 +23,9 @@ def gradient_max_relerr(sys, states, step=1e-6):
     worst = 0.0
     for y in states:
         for grad, fd in (
-            (sys.grad_q(y.p, y.q), fdtools.central_gradient(lambda q: sys.eval_H(y.p, q), y.q, step=step)),
-            (sys.grad_p(y.p, y.q), fdtools.central_gradient(lambda p: sys.eval_H(p, y.q), y.p, step=step)),
+            (sys.grad_V(y.q), fdtools.central_jacobian(lambda q: [sys.eval_H(y.p, q)], y.q, step=step)[0]),
+            (sys.inverse_masses * y.p,
+             fdtools.central_jacobian(lambda p: [sys.eval_H(p, y.q)], y.p, step=step)[0]),
         ):
             scale = max(np.linalg.norm(fd), 1.0)
             worst = max(worst, np.linalg.norm(np.asarray(grad) - fd) / scale)

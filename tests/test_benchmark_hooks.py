@@ -112,6 +112,11 @@ def test_traced_hamiltonian_jobs_compute_every_note(tmp_path):
     # and Klein-Gordon (40).
     assert metrics["symplectic.steps"] == 272
     assert metrics["oscillatory.trig_steps"] == 140
+    # Every gradient the kernels evaluate (the trigonometric kernels through
+    # grad_U) and every Newton Jacobian of the Kepler implicit-Euler job: a
+    # kernel that evaluated one more per step would show here.
+    assert metrics["models.grad_calls"] == 2776
+    assert metrics["fdtools.jacobian_calls"] == 400
 
 
 def test_traced_lowrank_steps_count_every_qr(tmp_path):

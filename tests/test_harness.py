@@ -628,6 +628,8 @@ def _cli_argvs(draw):
 @example(argv=["run", "convergence-orders", "--t-end", "1", "--param", "kepler_h0=0.1",
                "--param", "levels=3"])
 @example(argv=["run", "lowrank-exactness", "--t-end", "0.2", "--seed", "-1"])
+@example(argv=["run", "klein-gordon-decay", "--param", "rho=1e-300"])
+@example(argv=["run", "klein-gordon-decay", "--param", "eps=0"])
 @settings(max_examples=150)
 def test_cli_fuzz_keeps_the_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:

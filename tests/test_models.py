@@ -19,7 +19,7 @@ def rk4_separable(sys, y, h, n_steps, observe):
     p, q = y.p.copy(), y.q.copy()
 
     def rhs(p, q):
-        return -sys.grad_V(q), sys.mass_inverse @ p
+        return -sys.grad_V(q), sys.inverse_masses * p
 
     out = []
     for _ in range(n_steps):
@@ -103,8 +103,8 @@ def test_solar_bound_system(solar):
 
 def test_solar_gradient_consistency_at_initial_state(solar):
     sys, y0, _ = solar
-    from geomint.fdtools import central_gradient
-    fd = central_gradient(sys.eval_V, y0.q, step=1e-6)
+    from geomint.fdtools import central_jacobian
+    fd = central_jacobian(lambda q: [sys.eval_V(q)], y0.q, step=1e-6)[0]
     g = sys.grad_V(y0.q)
     assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(fd), 1.0)
 
@@ -257,6 +257,14 @@ def test_pendulum_and_harmonic_have_expected_energies():
     pend = models.make_pendulum()
     rest = PhaseState(p=np.array([0.0]), q=np.array([0.0]))
     assert pend.eval_H(rest.p, rest.q) == pytest.approx(-1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("inverse_masses", [np.eye(2), [], [1.0, 0.0], [1.0, -1.0], [1.0, np.nan],
+                                            [1.0, np.inf]],
+                         ids=["matrix", "empty", "zero", "negative", "nan", "inf"])
+def test_inverse_masses_must_be_a_positive_finite_vector(inverse_masses):
+    with pytest.raises(ContractViolationError, match="inverse_masses"):
+        models.SeparableSystem(inverse_masses, lambda q: 0.0, lambda q: np.zeros_like(q))
 
 
 # ------------------------------------------------------- gradient consistency
