@@ -196,7 +196,7 @@ def _run_fpu_resonance_scan(cfg: ExperimentConfig) -> ExperimentResult:
             float(np.min(report.freq_distances)) if report.freq_distances.size else float("inf"),
             report.threshold,
             1.0 if report.admissible else 0.0,
-            float(len(report.near_resonant_pairs)),
+            float(report.n_near_pairs),
         ])
         n_admissible += int(report.admissible)
     table = SeriesTable(["h", "h_omega", "freq_distance", "threshold", "admissible", "n_near_pairs"],

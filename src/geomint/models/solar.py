@@ -98,8 +98,10 @@ class _NBodyPotential:
         self.masses = masses
         self.g = g
         self.n = masses.size
-        # m_i * m_j for i < j, and the full outer product for forces.
+        # m_i * m_j for i < j, and the full outer product, times G, for forces.
         self._mm = np.outer(masses, masses)
+        self._gmm = g * self._mm
+        self._diagonal = np.eye(self.n, dtype=bool)
 
     def eval_V(self, q):
         x = q.reshape(self.n, 3)
@@ -112,10 +114,10 @@ class _NBodyPotential:
         x = q.reshape(self.n, 3)
         diff = x[:, None, :] - x[None, :, :]
         dist2 = np.sum(diff * diff, axis=-1)
-        np.fill_diagonal(dist2, 1.0)
+        dist2[self._diagonal] = 1.0
         inv3 = dist2 ** (-1.5)
-        np.fill_diagonal(inv3, 0.0)
-        w = self.g * self._mm * inv3
+        inv3[self._diagonal] = 0.0
+        w = self._gmm * inv3
         grad = np.sum(w[:, :, None] * diff, axis=1)
         return grad.reshape(-1)
 

@@ -26,7 +26,8 @@ the long-time behavior, it only refuses step sizes that are known bad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -156,37 +157,38 @@ class TrigKernel:
         return p1, q1, g1
 
 
+@lru_cache(maxsize=8)
 def _signed_combinations(n_freqs, max_terms):
-    """Coefficient vectors k with 1 <= sum |k_i| <= max_terms.
+    """Integer coefficient vectors k with 1 <= sum |k_i| <= max_terms, as the
+    rows of one read-only (S, n_freqs) array.
 
-    Only one of {k, -k} is produced (first nonzero entry positive).
+    Only one of {k, -k} is produced (first nonzero entry positive).  Rows
+    come depth first: a vector, then every vector that extends it by
+    nonzero entries after its last one, taken by position, then magnitude,
+    then sign (+ first).  A scan screens one system at many step sizes, so
+    the array is built once per (n_freqs, max_terms).
     """
-    combos = []
-
-    def extend(prefix, start, budget, nonzero_seen):
-        if nonzero_seen:
-            combos.append(tuple(prefix))
-        if budget == 0 or start == n_freqs:
-            return
-        for idx in range(start, n_freqs):
-            for mag in range(1, budget + 1):
-                signs = (1,) if not nonzero_seen else (1, -1)
-                for sign in signs:
-                    k = [0] * n_freqs
-                    k[:len(prefix)] = prefix
-                    k[idx] = sign * mag
-                    extend(k[: idx + 1], idx + 1, budget - mag, True)
-
-    extend([], 0, max_terms, False)
-    # Deduplicate (the generator can revisit): keep insertion order.
-    seen = set()
-    unique = []
-    for k in combos:
-        k_full = k + (0,) * (n_freqs - len(k))
-        if k_full not in seen:
-            seen.add(k_full)
-            unique.append(k_full)
-    return unique
+    # Term c is (pos[c], mag[c], sign[c]), numbered in that order, so a
+    # vector is the row of its term numbers; padded with -1, the rows sort
+    # depth first.
+    pos, mag, sign = (a.ravel() for a in np.meshgrid(
+        np.arange(n_freqs), np.arange(1, max_terms + 1), [1, -1], indexing="ij"))
+    value = mag * sign
+    level = np.flatnonzero(sign > 0)[:, None]
+    levels = [level]
+    for _ in range(1, max_terms):
+        budget = max_terms - np.abs(value[level]).sum(axis=1)
+        row, term = np.nonzero((pos > pos[level[:, -1], None]) & (mag <= budget[:, None]))
+        level = np.column_stack([level[row], term])
+        levels.append(level)
+    terms = np.concatenate([np.pad(level, ((0, 0), (0, max_terms - level.shape[1])), constant_values=-1)
+                            for level in levels])
+    terms = terms[np.lexsort(terms.T[::-1])]
+    row, slot = np.nonzero(terms >= 0)
+    coefficients = np.zeros((terms.shape[0], n_freqs), dtype=np.int64)
+    coefficients[row, pos[terms[row, slot]]] = value[terms[row, slot]]
+    coefficients.flags.writeable = False
+    return coefficients
 
 
 def _distance_to_multiples(values, period, include_zero):
@@ -202,6 +204,31 @@ def _distance_to_multiples(values, period, include_zero):
     return dist
 
 
+def _window_ends(ordered, threshold):
+    """For each position i of the ascending ``ordered``, the first j > i with
+    ``not (ordered[j] - ordered[i] < threshold)``.
+
+    The predicate is the brute-force test |s_a - s_b| < threshold on sorted
+    values; it is monotone in ordered[j] (rounding is), so positions
+    i+1 .. end-1 are exactly the sums near sum i.  ``ordered[i] + threshold``
+    places each end to within the rounding of that addition; the loop then
+    moves every misplaced end over whole runs of equal values until the
+    predicate holds before it and fails at it.  An inf or nan sum is near
+    nothing, since its differences are inf or nan.
+    """
+    first = np.arange(1, ordered.size + 1)
+    end = np.maximum(np.searchsorted(ordered, ordered + threshold), first)
+    while True:
+        i = np.flatnonzero(end < ordered.size)
+        ahead = i[ordered[end[i]] - ordered[i] < threshold]
+        i = np.flatnonzero(end > first)
+        behind = i[~(ordered[end[i] - 1] - ordered[i] < threshold)]
+        if not (ahead.size or behind.size):
+            return end
+        end[ahead] = np.searchsorted(ordered, ordered[end[ahead]], side="right")
+        end[behind] = np.maximum(np.searchsorted(ordered, ordered[end[behind] - 1]), first[behind])
+
+
 @dataclass
 class ResonanceReport:
     """Step-size admissibility data for one (system, h) pair."""
@@ -213,11 +240,26 @@ class ResonanceReport:
     freq_distances: np.ndarray  # distance of h*omega_j to multiples of pi
     freq_admissible: np.ndarray  # per-block flags
     admissible: bool  # all single-frequency conditions hold
-    sum_coefficients: list  # coefficient vectors over the positive blocks
+    sum_coefficients: np.ndarray  # (S, n) read-only integer coefficients over the n positive blocks
     sum_values: np.ndarray  # |sum k_j h omega_j|
     sum_distances: np.ndarray  # distance to nonzero multiples of 2 pi
     sums_admissible: bool
-    near_resonant_pairs: np.ndarray  # (n, 2) rows a < b: |sum_values[a] - sum_values[b]| < threshold
+    n_near_pairs: int  # pairs a < b with |sum_values[a] - sum_values[b]| < threshold
+    _order: np.ndarray = field(repr=False)  # stable argsort of sum_values
+    _ends: np.ndarray = field(repr=False)  # _window_ends(sum_values[_order], threshold)
+
+    @cached_property
+    def near_resonant_pairs(self) -> np.ndarray:
+        """The n_near_pairs pairs as an (n, 2) index array, rows a < b in
+        lexicographic order; built on first read."""
+        order, ends = self._order, self._ends
+        counts = ends - np.arange(1, ends.size + 1)
+        first = np.repeat(np.arange(ends.size), counts)
+        starts = np.cumsum(counts) - counts
+        second = first + 1 + np.arange(first.size) - np.repeat(starts, counts)
+        a, b = order[first], order[second]
+        key = np.sort(np.minimum(a, b) * ends.size + np.maximum(a, b))
+        return np.column_stack(np.divmod(key, ends.size))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -232,10 +274,12 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
     overflowing product is refused too, without a RuntimeWarning).  Sum rule:
     signed sums of at most ``n_sum_terms + 1`` of the h*omega_j must stay
     sqrt(h) away from nonzero multiples of 2*pi.  Pairs of sums closer
-    than sqrt(h) to each other are reported as near-resonant combinations
-    (these are genuine frequency resonances, not step-size artifacts, so
-    they do not affect admissibility): ``near_resonant_pairs`` is an
-    (n, 2) index array whose rows a < b index ``sum_coefficients`` and
+    than sqrt(h) to each other are near-resonant combinations (these are
+    genuine frequency resonances, not step-size artifacts, so they do not
+    affect admissibility).  The screen counts them in ``n_near_pairs`` from
+    the sorted sums, in memory linear in the number of sums;
+    ``near_resonant_pairs``, built on first read, lists them as an (n, 2)
+    index array whose rows a < b index ``sum_coefficients`` and
     ``sum_values``.
     """
     h = float(h)
@@ -249,19 +293,11 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
     freq_dist = _distance_to_multiples(xi, np.pi, include_zero=True)
     freq_ok = ((freq_dist >= threshold) | (xi < threshold)) & (np.spacing(xi) < threshold)
 
-    combos = _signed_combinations(positive.size, n_sum_terms + 1)
-    omega = sys.frequencies[positive]
-    if combos:
-        kmat = np.array(combos, dtype=float)
-        sums = np.abs(kmat @ (h * omega))
-        sum_dist = _distance_to_multiples(sums, 2.0 * np.pi, include_zero=False)
-        gap = sums[:, None] - sums[None, :]
-        np.abs(gap, out=gap)
-        pairs = np.argwhere(np.triu(gap < threshold, k=1))
-    else:
-        sums = np.zeros(0)
-        sum_dist = np.zeros(0)
-        pairs = np.zeros((0, 2), dtype=np.intp)
+    coefficients = _signed_combinations(positive.size, n_sum_terms + 1)
+    sums = np.abs(coefficients.astype(float) @ xi)
+    sum_dist = _distance_to_multiples(sums, 2.0 * np.pi, include_zero=False)
+    order = np.argsort(sums, kind="stable")
+    ends = _window_ends(sums[order], threshold)
     return ResonanceReport(
         h=h,
         threshold=float(threshold),
@@ -270,11 +306,13 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
         freq_distances=freq_dist,
         freq_admissible=freq_ok,
         admissible=bool(np.all(freq_ok)),
-        sum_coefficients=combos,
+        sum_coefficients=coefficients,
         sum_values=sums,
         sum_distances=sum_dist,
         sums_admissible=bool(np.all(sum_dist >= threshold)),
-        near_resonant_pairs=pairs,
+        n_near_pairs=int(np.sum(ends - np.arange(1, sums.size + 1))),
+        _order=order,
+        _ends=ends,
     )
 
 

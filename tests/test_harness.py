@@ -563,12 +563,12 @@ def test_cli_output_is_reproducible(tmp_path):
 # -------------------------------------------------------------------- CLI fuzz
 
 # Bounded values: runs take at most about 100 steps, a drawn FPU m or
-# Klein-Gordon modes is at most 8 (the resonance screen's pair matrix grows
-# like m**4), and convergence-orders always draws short step ladders.  A flag
-# is drawn only for an experiment that reads its field, and --t-end always
-# is.  Each example spoils at most one value with text that does not convert
-# or lies out of range, or adds a flag the experiment does not read, so every
-# refusal is reached on its own.
+# Klein-Gordon modes is at most 8 (the resonance screen's signed sums grow
+# like m**2, and the scan screens 126 step sizes), and convergence-orders
+# always draws short step ladders.  A flag is drawn only for an experiment
+# that reads its field, and --t-end always is.  Each example spoils at most
+# one value with text that does not convert or lies out of range, or adds a
+# flag the experiment does not read, so every refusal is reached on its own.
 _FUZZ_FLAGS = {"--t-end": ("0.2", "1"), "--h": ("0.02", "0.1"), "--record-every": ("1", "3"),
                "--seed": ("0", "7")}
 _FUZZ_PARAMS = {

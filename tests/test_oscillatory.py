@@ -1,13 +1,15 @@
 """Filtered trigonometric stepping for systems with fast harmonic blocks."""
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from geomint import models, symplectic
+from geomint import models, oscillatory, symplectic
 from geomint.errors import (
     ContractViolationError,
     InadmissibleStepError,
@@ -212,6 +214,76 @@ def test_near_resonant_pairs_match_a_brute_force_search(freqs, slow, h, n_sum_te
     assert rep.near_resonant_pairs.shape == (len(expected), 2)
     assert rep.near_resonant_pairs.tolist() == expected
     assert len(rep.sum_coefficients) == sums.size
+
+
+# Frequencies from a small set, so that many signed sums are equal (as in
+# the spring chain, whose fast blocks share one frequency); h = 0.25 makes
+# h * 2.0 = sqrt(h), so sums lie exactly on the threshold.  In the first two
+# examples, two runs of equal sums x < y lie where y < x + sqrt(h) and
+# y - x < sqrt(h) disagree (one way, then the other).  In the last, h * 1e308
+# overflows: its sums are inf or nan and near nothing.
+@given(freqs=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 50.0]), min_size=1, max_size=6),
+       slow=st.booleans(), h=st.one_of(st.sampled_from([0.01, 0.25, 1.0]), st.floats(1e-3, 4.0)),
+       n_sum_terms=st.integers(0, 2))
+@example(freqs=[3.036470273831545] * 2 + [10.10753808569702] * 3, slow=False, h=0.02,
+         n_sum_terms=0)
+@example(freqs=[32.29761548794252] * 3 + [39.36868329980799] * 2, slow=False, h=0.02,
+         n_sum_terms=0)
+@example(freqs=[50.0, 1e308, 1e308], slow=True, h=2.0, n_sum_terms=1)
+def test_near_pair_count_matches_a_brute_force_search_through_ties_and_overflow(
+        freqs, slow, h, n_sum_terms):
+    frequencies = sorted(freqs)
+    if slow:
+        frequencies = [0.0] + frequencies
+    sys = OscillatorySystem(
+        frequencies=frequencies,
+        block_dims=[1] * len(frequencies),
+        eval_U=no_coupling,
+        grad_U=lambda q: np.zeros(len(frequencies)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = resonance_report(sys, h, n_sum_terms=n_sum_terms)
+        pairs = rep.near_resonant_pairs
+    sums = rep.sum_values.tolist()
+    expected = [[a, b] for a in range(len(sums)) for b in range(a + 1, len(sums))
+                if abs(sums[a] - sums[b]) < rep.threshold]
+    assert rep.n_near_pairs == len(pairs) == len(expected)
+    assert pairs.tolist() == expected
+
+
+def test_screening_a_hundred_spring_chain_takes_memory_linear_in_its_sums():
+    # m = 100: 10,100 sums, about half of all their pairs near.  A matrix of
+    # the pairwise gaps alone would take 8 * 10,100**2 bytes, about 0.8 GB.
+    # The coefficient array, cached per size, is built inside the window.
+    m = 100
+    sys, _ = models.make_fpu_chain(m, 50.0)
+    oscillatory._signed_combinations.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = resonance_report(sys, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # h * omega = 1: the sums take the values 1 (m of them), 2 (m + m(m-1)/2)
+    # and 0 (m(m-1)/2), and two sums are near exactly when they are equal.
+    half = m * (m - 1) // 2
+    assert rep.n_near_pairs == math.comb(m, 2) + math.comb(m + half, 2) + math.comb(half, 2)
+    assert rep.n_near_pairs == 25_002_450
+
+
+def test_klein_gordon_screen_counts_its_near_pairs_in_a_small_footprint():
+    sys, _ = models.make_klein_gordon(32, 0.5, 0.1)
+    oscillatory._signed_combinations.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = resonance_report(sys, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert (rep.sum_values.size, rep.n_near_pairs) == (1122, 111378)
 
 
 
