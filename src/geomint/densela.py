@@ -7,7 +7,8 @@ and by diagnostics:
   conventions: finite, tall input checked first, R with a nonnegative
   diagonal (unique for full-rank input) and an exactly zero strictly
   lower triangle, and roundoff-level diagonal entries of dependent
-  columns set to exact zeros.
+  columns set to exact zeros.  The conventions are applied in place to
+  the fresh Q and R that LAPACK returns; the input is never written.
 * ``svd_full`` -- LAPACK's SVD (``numpy.linalg.svd``, thin factors),
   finite input checked first.  Its small singular values are accurate to
   about eps times the largest, which every caller can afford: the graded
@@ -26,6 +27,7 @@ Intended for small dense problems (dimensions up to a few hundred).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +41,7 @@ def as_matrix(a, name="a"):
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise ContractViolationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractViolationError(f"{name} contains non-finite entries")
     return arr
 
@@ -57,6 +59,14 @@ class SvdResult:
     right: np.ndarray
 
 
+@lru_cache
+def _upper_mask(n):
+    """Read-only n-by-n mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def qr_thin(a):
     """Thin QR factorization: LAPACK's Householder QR (``numpy.linalg.qr``,
     reduced mode) under fixed conventions.
@@ -67,24 +77,31 @@ def qr_thin(a):
     strictly lower triangle of r is exactly +0.0.  Requires m >= n and
     finite entries (ContractViolationError otherwise, checked before
     LAPACK sees the input).  Rank-deficient input is allowed; the
-    corresponding diagonal entries of r come out exactly zero.
+    corresponding diagonal entries of r come out exactly zero.  The
+    conventions are applied in place to the q and r that LAPACK has just
+    returned, which share no memory with ``a``; ``a`` is never written.
     """
     a = as_matrix(a)
     m, n = a.shape
     if m < n:
         raise ContractViolationError(f"qr_thin needs m >= n, got shape {a.shape}")
     q, r = np.linalg.qr(a)
-    # Sign fix: flip so that diag(r) >= 0, keeping q @ r unchanged.  triu
-    # after the flip keeps the lower triangle +0.0 rather than -0.0.
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    q *= signs
-    r = np.triu(signs[:, None] * r)
+    # Sign fix: negate the columns of q and the rows of r whose diagonal
+    # entry is negative, keeping q @ r unchanged.  Only the upper triangle
+    # of those rows is negated, so the lower triangle stays +0.0.
+    flip = r.diagonal() < 0.0
+    if flip.any():
+        np.negative(q, out=q, where=flip)
+        np.negative(r, out=r, where=_upper_mask(n) & flip[:, None])
     # A diagonal entry below roundoff relative to its own column is pure
     # reflector noise from a linearly dependent column; report it as an
     # exact zero.  The comparison is column-local on purpose: columns that
-    # are genuinely tiny but independent keep their diagonal.
-    noise = np.flatnonzero(np.diag(r) <= m * _EPS * np.linalg.norm(a, axis=0))
-    r[noise, noise] = 0.0
+    # are genuinely tiny but independent keep their diagonal.  The column
+    # norms are ``np.linalg.norm(a, axis=0)``'s arithmetic for real input.
+    col_norms = np.sqrt(np.add.reduce(a * a, axis=0))
+    noise = (r.diagonal() <= m * _EPS * col_norms).nonzero()[0]
+    if noise.size:
+        r[noise, noise] = 0.0
     return q, r
 
 

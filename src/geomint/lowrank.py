@@ -31,6 +31,7 @@ increment form agrees with the RK4 path to roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,6 +43,15 @@ from .series import SeriesTable
 from .symplectic import step_count
 
 _ORTHO_TOL = 1e-10
+
+
+def _orthonormality_defect(w):
+    """||W^T W - I||_F in ``np.linalg.norm``'s arithmetic: the Gram matrix
+    with 1 taken off its diagonal in place, then the square root of the
+    dot product of the raveled result with itself."""
+    gram = (w.T @ w).reshape(-1)
+    gram[:: w.shape[1] + 1] -= 1.0
+    return math.sqrt(gram.dot(gram))
 
 
 @dataclass
@@ -67,7 +77,7 @@ class LowRankFactors:
                 f"inconsistent factor shapes u{u.shape}, s{s.shape}, v{v.shape}"
             )
         for name, w in (("u", u), ("v", v)):
-            defect = np.linalg.norm(w.T @ w - np.eye(r))
+            defect = _orthonormality_defect(w)
             if defect > _ORTHO_TOL:
                 raise ContractViolationError(
                     f"{name} columns are not orthonormal (defect {defect:.3e})"
@@ -163,18 +173,19 @@ def _simpson_rule(t, span, substeps):
 
 
 def _check_columns(mat, substep):
-    # A norm that overflows is the divergence reported below, not a warning.
+    # A column 2-norm that is not finite, also one that overflows from
+    # finite entries, is the divergence reported below, not a warning.
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(mat, axis=0)
-    if not np.all(np.isfinite(norms)):
+        norms = np.sqrt(np.add.reduce(mat * mat, axis=0))
+    if not np.isfinite(norms).all():
         raise SolverDivergenceError(f"{substep} substep overflowed: its result is not finite")
 
 
 def _validate_step_args(flow, y, substeps):
     if y.shape != flow.shape:
         raise ContractViolationError(f"factors have shape {y.shape}, flow expects {flow.shape}")
-    if int(substeps) < 1:
-        raise ContractViolationError(f"substeps must be >= 1, got {substeps}")
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ContractViolationError(f"substeps must be an integer >= 1, got {substeps!r}")
 
 
 def _subflow_solver(flow, t, span, substeps):
@@ -296,6 +307,7 @@ def integrate_lowrank(flow, y0, t0, t_end, h, method="ksl", substeps=10, record_
     record_every = int(record_every)
     if record_every < 1:
         raise ContractViolationError(f"record_every must be >= 1, got {record_every}")
+    _validate_step_args(flow, y0, substeps)
     y = y0
     records = [_record(flow, y, t0)]
     for k in range(1, n_steps + 1):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from geomint.densela import as_matrix, qr_thin, svd_full, truncated_svd
@@ -168,6 +168,55 @@ def test_qr_thin_refuses_non_finite_input_before_factoring(draw, value, index):
     a.flat[index % a.size] = value
     with pytest.raises(ContractViolationError):
         qr_thin(a)
+
+
+def reference_qr_thin(a):
+    """qr_thin's conventions in their plainest form, the reference the
+    in-place code must match bit for bit: a sign multiply over all of q
+    and r, then ``np.triu``, then the noise rule on ``np.linalg.norm``
+    column norms."""
+    a = np.asarray(a, dtype=float)
+    m = a.shape[0]
+    q, r = np.linalg.qr(a)
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    q *= signs
+    r = np.triu(signs[:, None] * r)
+    noise = np.flatnonzero(np.diag(r) <= m * np.finfo(float).eps * np.linalg.norm(a, axis=0))
+    r[noise, noise] = 0.0
+    return q, r
+
+
+@st.composite
+def qr_inputs(draw):
+    """A workload-shaped or graded matrix with some columns negated (so
+    that signs must flip) and up to two columns made zero or dependent,
+    stored in C or Fortran order."""
+    if draw(st.booleans()):
+        rng, a = draw(tall_gaussian())
+    else:
+        a = draw(graded_matrices())
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = a.shape[1]
+    a = a * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    for _ in range(draw(st.integers(0, min(2, n)))):
+        k = draw(st.integers(0, n - 1))
+        a[:, k] = 0.0 if k == 0 or draw(st.booleans()) else a[:, :k] @ rng.standard_normal(k)
+    return np.asfortranarray(a) if draw(st.booleans()) else a
+
+
+@given(a=qr_inputs())
+@example(a=np.eye(4))
+@example(a=-np.eye(4))
+@example(a=np.zeros((12, 3)))
+def test_qr_thin_matches_the_reference_conventions_bit_for_bit(a):
+    before = a.copy()
+    q, r = qr_thin(a)
+    q_ref, r_ref = reference_qr_thin(before)
+    assert q.tobytes() == q_ref.tobytes()
+    assert r.tobytes() == r_ref.tobytes()
+    # The conventions are applied in place to LAPACK's outputs, never to a.
+    assert a.tobytes() == before.tobytes()
+    assert not np.shares_memory(q, a) and not np.shares_memory(r, a)
 
 
 def test_qr_completes_degenerate_columns():

@@ -1,5 +1,6 @@
 """Rank-constrained matrix integration: factors, projection, splitting step."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +75,33 @@ def test_factor_validation():
     skew[0, 1] = 0.5  # not orthonormal
     with pytest.raises(ContractViolationError):
         LowRankFactors(u=skew, s=np.eye(2), v=np.eye(3)[:, :2])
+
+
+@settings(max_examples=60)
+@given(m=st.integers(1, 40), r=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.0, 1e-6))
+def test_orthonormality_defect_is_the_frobenius_norm_bit_for_bit(m, r, seed, scale):
+    r = min(r, m)
+    rng = np.random.default_rng(seed)
+    w = np.linalg.qr(rng.standard_normal((m, r)))[0] + scale * rng.standard_normal((m, r))
+    ours = lowrank._orthonormality_defect(w)
+    reference = np.linalg.norm(w.T @ w - np.eye(r))
+    assert np.float64(ours).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("name", ["u", "v"])
+def test_a_defect_just_above_the_tolerance_is_refused_with_its_value(name):
+    # c * Q has W^T W - I = (c^2 - 1) I, a defect of (c^2 - 1) * sqrt(r).
+    q = np.linalg.qr(np.random.default_rng(4).standard_normal((7, 3)))[0]
+    just_above = q * np.sqrt(1.0 + 1.01 * lowrank._ORTHO_TOL / np.sqrt(3.0))
+    just_below = q * np.sqrt(1.0 + 0.99 * lowrank._ORTHO_TOL / np.sqrt(3.0))
+    defect = np.linalg.norm(just_above.T @ just_above - np.eye(3))
+    assert defect > lowrank._ORTHO_TOL
+    factors = {"u": q, "s": np.eye(3), "v": q}
+    LowRankFactors(**{**factors, name: just_below})
+    with pytest.raises(ContractViolationError) as info:
+        LowRankFactors(**{**factors, name: just_above})
+    assert str(info.value) == f"{name} columns are not orthonormal (defect {defect:.3e})"
 
 
 # ------------------------------------------------------------------ tangent
@@ -202,6 +230,23 @@ def test_step_argument_validation():
         ksl_step(forced_flow(m=4, n=4), y, 0.0, 0.1)
 
 
+@pytest.mark.parametrize("substeps", [1.5, 2.0, "2", None])
+@pytest.mark.parametrize("y_dependent", [True, False])
+def test_non_integral_substeps_are_a_contract_violation(substeps, y_dependent):
+    # y_dependent=False takes the increment path, True the RK4 path.
+    flow = rotating_flow([1.0, 0.5], m=6, n=5, seed=3, y_dependent=y_dependent)
+    y = factorize(flow.exact_A(0.0), 2)
+    runs = (lambda: ksl_step(flow, y, 0.0, 0.1, substeps=substeps),
+            lambda: strang_step(flow, y, 0.0, 0.1, substeps=substeps),
+            lambda: integrate_lowrank(flow, y, 0.0, 0.2, 0.1, substeps=substeps),
+            lambda: integrate_lowrank(flow, y, 0.0, 0.0, 0.1, substeps=substeps))
+    for run in runs:
+        with pytest.raises(ContractViolationError, match="substeps must be an integer >= 1"):
+            run()
+    # An integer of numpy's own type is an integer.
+    assert ksl_step(flow, y, 0.0, 0.1, substeps=np.int64(2)).rank == 2
+
+
 def test_step_halving_shows_first_and_second_order():
     flow = forced_flow()
     y0 = factorize(np.random.default_rng(5).standard_normal((6, 5)), 2)
@@ -300,6 +345,31 @@ def test_overflow_is_a_divergence_with_partial_records():
     flow = MatrixFlow(shape=(6, 5), eval_F=lambda t, y: 1e200 * y)
     with np.errstate(all="ignore"), pytest.raises(SolverDivergenceError) as info:
         integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, substeps=1)
+    assert type(info.value) is SolverDivergenceError
+    assert info.value.step_index == 1
+    assert len(info.value.records) == 1
+
+
+@pytest.mark.parametrize("increment", [True, False])
+@pytest.mark.parametrize("substep", ["K", "L"])
+def test_finite_entries_with_an_overflowing_column_norm_are_a_divergence(substep, increment):
+    # V0 spans the first two coordinates, so F V0 is exactly zero for the
+    # L case's field: there K and S stay put and only L blows up.  Either
+    # substep's result has finite entries of about 1e160 in one column,
+    # whose 2-norm overflows.
+    u0 = np.linalg.qr(np.random.default_rng(2).standard_normal((6, 2)))[0]
+    y0 = LowRankFactors(u=u0, s=np.diag([2.0, 1.0]), v=np.eye(5)[:, :2])
+    if substep == "K":
+        f = np.outer(np.random.default_rng(8).standard_normal(6), np.eye(5)[0])
+    else:
+        f = np.outer(u0[:, 0], np.eye(5)[4])
+    f *= 1e161 / np.abs(f).max()
+    flow = MatrixFlow(shape=(6, 5), eval_F=lambda t, y: f,
+                      increment=(lambda t, span, substeps: span * f) if increment else None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverDivergenceError, match=f"{substep} substep overflowed") as info:
+            integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, substeps=1)
     assert type(info.value) is SolverDivergenceError
     assert info.value.step_index == 1
     assert len(info.value.records) == 1
