@@ -98,9 +98,20 @@ def qr_thin(a):
     # exact zero.  The comparison is column-local on purpose: columns that
     # are genuinely tiny but independent keep their diagonal.  The column
     # norms are ``np.linalg.norm(a, axis=0)``'s arithmetic for real input.
-    col_norms = np.sqrt(np.add.reduce(a * a, axis=0))
+    with np.errstate(over="ignore"):
+        col_norms = np.sqrt(np.add.reduce(a * a, axis=0))
     noise = (r.diagonal() <= m * _EPS * col_norms).nonzero()[0]
     if noise.size:
+        # A sum of squares that overflows from finite entries makes an
+        # infinite norm and so a false noise verdict; such a column's norm
+        # is taken again with its largest entry scaled out.
+        big = noise[~np.isfinite(col_norms[noise])]
+        if big.size:
+            cols = a[:, big]
+            scale = np.abs(cols).max(axis=0)
+            with np.errstate(over="ignore"):
+                col_norms[big] = scale * np.sqrt(np.add.reduce((cols / scale) ** 2, axis=0))
+            noise = noise[r.diagonal()[noise] <= m * _EPS * col_norms[noise]]
         r[noise, noise] = 0.0
     return q, r
 

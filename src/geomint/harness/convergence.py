@@ -49,10 +49,10 @@ def _kepler_final(method, h, t_end, y0, sys):
     return np.concatenate([records.p[-1], records.q[-1]])
 
 
-def _lowrank_final(flow, y0, method, h, t_end, substeps):
+def _lowrank_final(flow, y0, method, h, t_end):
     records = lowrank.integrate_lowrank(
         flow, y0, 0.0, t_end, h, method=method,
-        substeps=substeps, record_every=max(1, symplectic.step_count(h, t_end)),
+        record_every=max(1, symplectic.step_count(h, t_end)),
     )
     return lowrank.to_full(records[-1].factors)
 
@@ -66,7 +66,7 @@ def _ladder_table(h_values, errors):
                        np.column_stack([h_values[:len(errors)], errors, orders[:len(errors)]]))
 
 
-def convergence_table(experiment, method, h_list, t_end=1.0, substeps=10, seed=0) -> SeriesTable:
+def convergence_table(experiment, method, h_list, t_end=1.0, seed=0) -> SeriesTable:
     """Errors and pairwise observed orders over a geometric step ladder.
 
     ``experiment`` is 'kepler' (eccentricity 0.6, all symplectic-module
@@ -86,14 +86,14 @@ def convergence_table(experiment, method, h_list, t_end=1.0, substeps=10, seed=0
     elif experiment == "lowrank-rotating":
         if method not in LOWRANK_METHODS:
             raise ContractViolationError(f"method {method!r} not valid for lowrank-rotating; use one of {LOWRANK_METHODS}")
-        # Rank 4 out of 12 decaying singular values, fed as the explicit field
-        # F(t, Y) = dA/dt: the full-rank right-hand side keeps the splitting
-        # from being exact, and the self-reference cancels the common
-        # truncation floor so the pure order in h is visible.
+        # Rank 4 out of 12 decaying singular values, stepped with the exact
+        # increments of the full-rank family: the rank truncation keeps the
+        # splitting from being exact, and the self-reference cancels the
+        # common truncation floor so the pure order in h is visible.
         d_vals = 2.0 ** -np.arange(1, 13)
         flow = lowrank.rotating_flow(d_vals, seed=seed, y_dependent=False)
         y0 = lowrank.factorize(np.diag(d_vals), 4)
-        final = lambda method, h: _lowrank_final(flow, y0, method, h, t_end, substeps)
+        final = lambda method, h: _lowrank_final(flow, y0, method, h, t_end)
         reference_method = "ksl-strang"
     else:
         raise ContractViolationError(

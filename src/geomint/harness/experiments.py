@@ -235,14 +235,13 @@ def mode_decay_slope(table: SeriesTable, row_index, j_min=2, j_max=10) -> float:
 
 
 def _run_lowrank_exactness(cfg: ExperimentConfig) -> ExperimentResult:
-    substeps = cfg.params["substeps"]
     runs, summaries = {}, []
     for label, diag in (("rank1", [1.0]), ("rank3", [1.0, 0.5, 0.25])):
         flow = lowrank.rotating_flow(diag, m=12, n=10, seed=cfg.seed, y_dependent=False)
         y0 = lowrank.factorize(flow.exact_A(0.0), len(diag))
         runs[label], run_summary, _ = _until_divergence(
             cfg, lowrank.integrate_lowrank, flow, y0, 0.0, cfg.t_end, cfg.h, method=cfg.method,
-            substeps=substeps, record_every=cfg.record_every)
+            record_every=cfg.record_every)
         summaries.append(run_summary)
     # The first divergence, if any; the table's rows stop with the shorter run.
     summary = min(summaries, key=lambda run_summary: run_summary["steps"])
@@ -268,7 +267,6 @@ def _run_lowrank_robustness(cfg: ExperimentConfig) -> ExperimentResult:
         rank=cfg.params["rank"],
         h=cfg.h,
         t_end=cfg.t_end,
-        substeps=cfg.params["substeps"],
         seed=cfg.seed,
         tail_scale=cfg.params["tail_scale"],
         speed=cfg.params["speed"],
@@ -303,8 +301,7 @@ def _run_convergence_orders(cfg: ExperimentConfig) -> ExperimentResult:
             else:
                 h_list = [cfg.params["lowrank_h0"] * 0.5**k for k in range(levels)]
                 sub = convergence_table("lowrank-rotating", method, h_list,
-                                        t_end=cfg.t_end, substeps=cfg.params["substeps"],
-                                        seed=cfg.seed)
+                                        t_end=cfg.t_end, seed=cfg.seed)
         except SolverDivergenceError as exc:
             # The ladder stops here; the rungs completed so far are the rows.
             sub, diverged = exc.records, True
@@ -370,22 +367,21 @@ EXPERIMENTS = {
         runner=_run_lowrank_exactness,
         methods=LOWRANK_METHODS,
         defaults={"method": "ksl", "h": 0.05, "t_end": 1.0, "record_every": 1, "seed": 0},
-        params={"substeps": 10},
+        params={},
         description="splitting integrator on exactly low-rank solution families",
     ),
     "lowrank-robustness": ExperimentSpec(
         runner=_run_lowrank_robustness,
         methods=LOWRANK_METHODS,
         defaults={"method": "ksl", "h": 0.01, "t_end": 1.0, "seed": 0},
-        params={"rank": 8, "floors": "10,20,30,40", "tail_scale": 1.0, "substeps": 10,
-                "speed": 40.0},
+        params={"rank": 8, "floors": "10,20,30,40", "tail_scale": 1.0, "speed": 40.0},
         description="error versus singular-value floor, with naive gauge contrast",
     ),
     "convergence-orders": ExperimentSpec(
         runner=_run_convergence_orders,
         methods=(),
         defaults={"t_end": 1.0, "seed": 0},
-        params={"kepler_h0": 0.01, "lowrank_h0": 0.2, "levels": 4, "substeps": 10},
+        params={"kepler_h0": 0.01, "lowrank_h0": 0.2, "levels": 4},
         description="observed orders for every integrator by step halving",
     ),
 }

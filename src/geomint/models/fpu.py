@@ -39,12 +39,13 @@ def make_fpu_chain(m, omega):
     ``m`` stiff springs, all at frequency ``omega``.  The initial state
     puts unit energy into the first fast mode (y_1 = 1/omega, dy_1 = 1)
     and kicks the first center (x_1 = 1, dx_1 = 1); everything else
-    starts at rest.
+    starts at rest.  ``m`` is at most 100: the resonance screen's
+    coefficient array grows like m**3 (about 1 GB at m = 400).
     """
     m = int(m)
     omega = float(omega)
-    if m < 1:
-        raise ContractViolationError(f"need at least one stiff spring, got m={m}")
+    if m < 1 or m > 100:
+        raise ContractViolationError(f"m must be in [1, 100], got {m}")
     if omega < 10.0:
         # The scaled variables assume a clear fast/slow separation.
         raise ContractViolationError(f"omega must be >= 10, got {omega}")

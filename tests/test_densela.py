@@ -1,5 +1,7 @@
 """Dense linear algebra kernels: thin QR, full and truncated SVD."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -217,6 +219,22 @@ def test_qr_thin_matches_the_reference_conventions_bit_for_bit(a):
     # The conventions are applied in place to LAPACK's outputs, never to a.
     assert a.tobytes() == before.tobytes()
     assert not np.shares_memory(q, a) and not np.shares_memory(r, a)
+
+
+def test_qr_thin_factors_columns_whose_sum_of_squares_overflows():
+    # Entries of about 1e160 are finite, but their squares are not.
+    a = 1e160 * np.random.default_rng(0).standard_normal((12, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, r = qr_thin(a)
+    assert np.all(np.diag(r) > 0.0)
+    assert np.linalg.norm((q @ r - a) / 1e160) <= 1e-14 * np.linalg.norm(a / 1e160)
+    # A dependent column among them is still reported as an exact zero.
+    a[:, 2] = a[:, 0] - a[:, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, r = qr_thin(a)
+    assert np.all(np.diag(r)[:2] > 0.0) and r[2, 2] == 0.0
 
 
 def test_qr_completes_degenerate_columns():

@@ -312,6 +312,40 @@ def test_value_that_does_not_convert_is_contract_violation(tmp_path, capsys, arg
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("experiment", ["lowrank-exactness", "lowrank-robustness",
+                                        "convergence-orders"])
+def test_the_unread_substeps_parameter_is_refused(tmp_path, capsys, experiment):
+    # The low-rank experiments step with exact increments, so nothing on
+    # their path reads a substep count.
+    dest = tmp_path / "x.csv"
+    assert cli.main(["run", experiment, "--param", "substeps=2", "--output", str(dest)]) == 2
+    assert "unknown parameter(s) ['substeps']" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("experiment", ["fpu-exchange", "fpu-resonance-scan"])
+def test_an_fpu_chain_above_100_springs_is_refused(tmp_path, capsys, experiment, monkeypatch):
+    # The resonance screen's coefficient array grows like m**3; the chain
+    # is refused before anything is built from it.
+    monkeypatch.setattr(oscillatory, "resonance_report", None)
+    dest = tmp_path / "x.csv"
+    assert cli.main(["run", experiment, "--param", "m=101", "--output", str(dest)]) == 2
+    assert "m must be in [1, 100], got 101" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("method", ["ksl", "ksl-strang"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_exactness_holds_to_roundoff(method, seed):
+    # With exact increments the splitting is exact on the rank-1 and rank-3
+    # families up to roundoff (Lubich & Oseledets, BIT 2014).
+    result = experiments.run_experiment(experiments.ExperimentConfig(
+        experiment="lowrank-exactness", method=method, seed=seed))
+    assert not result.diverged
+    assert result.summary["final_error_rank1"] <= 1e-13
+    assert result.summary["final_error_rank3"] <= 1e-13
+
+
 def test_contract_violation_maps_to_exit_two(tmp_path):
     assert cli.main([
         "run", "solar", "--method", "stormer-verlet",
@@ -392,17 +426,29 @@ def test_kepler_divergence_writes_its_partial_csv(tmp_path, capsys):
 
 
 def test_overflowing_robustness_floors_are_recorded_as_inf(tmp_path, capsys):
-    # At speed 1e300 every splitting run overflows in its first K substep;
-    # each floor is still a row, outside the envelope, as an overflowing
-    # naive run is.
+    # At speed 1e308 the phase t * theta overflows once t passes about 1.8,
+    # so every splitting run diverges before t = 2; each floor is still a
+    # row, outside the envelope, as an overflowing naive run is.
     dest = tmp_path / "robustness.csv"
-    code = cli.main(["run", "lowrank-robustness", "--param", "speed=1e300", "--t-end", "0.2",
+    code = cli.main(["run", "lowrank-robustness", "--param", "speed=1e308", "--t-end", "2",
                      "--output", str(dest)])
     assert code == 3
     assert "status=diverged" in capsys.readouterr().out
     table = csvio.parse_csv(dest)
     assert table.column("floor_exponent").tolist() == [10.0, 20.0, 30.0, 40.0]
     assert np.all(table.column("ksl_error") == np.inf)
+    assert np.all(table.column("naive_error") == np.inf)
+    assert np.all(table.column("within_envelope") == 0.0)
+    # At speed 1e300 the phases stay finite, and an exact increment is
+    # bounded by 2 ||D||: the splitting runs end with finite errors of
+    # order ||D||, far outside the envelope, while the naive runs overflow.
+    code = cli.main(["run", "lowrank-robustness", "--param", "speed=1e300", "--t-end", "0.2",
+                     "--output", str(dest)])
+    assert code == 0
+    assert "status=diverged" not in capsys.readouterr().out
+    table = csvio.parse_csv(dest)
+    assert np.all((0.5 <= table.column("ksl_error")) & (table.column("ksl_error") <= 2.0))
+    assert np.all(table.column("naive_error") == np.inf)
     assert np.all(table.column("within_envelope") == 0.0)
 
 
@@ -444,19 +490,29 @@ def test_convergence_table_divergence_carries_the_completed_rungs():
 
 def test_exactness_divergence_writes_the_records_so_far(tmp_path, capsys, monkeypatch):
     # The exactness families cannot overflow at their own speed, so the
-    # flow is built at speed 1e300: both runs overflow at step 1, after
-    # their initial record.
+    # flow is built faster.
     build = lowrank.rotating_flow
-    monkeypatch.setattr(lowrank, "rotating_flow", lambda *args, **kwargs: build(
-        *args, **{**kwargs, "speed": 1e300}))
     dest = tmp_path / "exactness.csv"
-    code = cli.main(["run", "lowrank-exactness", "--t-end", "0.2", "--output", str(dest)])
-    out = capsys.readouterr().out
+
+    def run_at(speed):
+        monkeypatch.setattr(lowrank, "rotating_flow", lambda *args, **kwargs: build(
+            *args, **{**kwargs, "speed": speed}))
+        code = cli.main(["run", "lowrank-exactness", "--t-end", "2", "--output", str(dest)])
+        return code, capsys.readouterr().out, csvio.parse_csv(dest)
+
+    # At speed 1e308 the phase t * theta overflows in step 36 (t from 1.75
+    # to 1.8): both runs diverge there, after 36 records.
+    code, out, table = run_at(1e308)
     assert code == 3
-    assert "steps=1 " in out and "status=diverged" in out
-    table = csvio.parse_csv(dest)
-    assert table.column("t").tolist() == [0.0]
+    assert "steps=36 " in out and "status=diverged" in out
+    assert table.column("t").tolist() == [0.05 * k for k in range(36)]
     assert table.rows[0, 1] <= 1e-12 and table.rows[0, 3] <= 1e-12
+    assert np.all(np.isfinite(table.rows))
+    # At speed 1e300 every phase stays finite, so the runs end.
+    code, out, table = run_at(1e300)
+    assert code == 0
+    assert "steps=40 " in out and "status=diverged" not in out
+    assert len(table) == 41 and np.all(np.isfinite(table.rows))
 
 
 def test_unresolvable_step_product_is_refused_by_the_screen(tmp_path, capsys):
@@ -577,12 +633,9 @@ _FUZZ_PARAMS = {
     "fpu-resonance-scan": {"m": ("2", "8"), "omega": ("50",), "h_min": ("0.01",),
                            "h_max": ("0.1",), "n_points": ("1", "5")},
     "klein-gordon-decay": {"modes": ("4", "8"), "rho": ("0.5", "2"), "eps": ("0.1", "10")},
-    "lowrank-exactness": {"substeps": ("1", "3")},
     "lowrank-robustness": {"rank": ("1", "3"), "floors": ("10", "10,40"),
-                           "tail_scale": ("1", "1e-6"), "substeps": ("1", "2"),
-                           "speed": ("1", "40")},
-    "convergence-orders": {"kepler_h0": ("0.1",), "lowrank_h0": ("0.1",), "levels": ("3",),
-                           "substeps": ("1", "2")},
+                           "tail_scale": ("1", "1e-6"), "speed": ("1", "40")},
+    "convergence-orders": {"kepler_h0": ("0.1",), "lowrank_h0": ("0.1",), "levels": ("3",)},
 }
 _FUZZ_BAD = ("abc", "1.5", "-1", "0", "nan", "inf", "1e300", "1e-300", "a,b", "ksl")
 
