@@ -1,4 +1,6 @@
-"""Registered experiments and their fixed CSV schemas.
+"""Registered experiments and their fixed CSV schemas: the one home of
+each experiment's sizes, seeds and defaults; the library modules hold
+only the methods, models and flows they run.
 
 Each experiment maps a configuration to a SeriesTable plus a small
 summary dict.  Solver divergence inside a run is a recordable outcome:
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,8 +29,8 @@ from ..models.simple import angular_momentum_2d
 from ..models.solar import heliocentric_distances
 from ..models.systems import oscillatory_energies  # noqa: F401 -- perfbench's tracer patches this name
 from ..series import SeriesTable
-from .convergence import (KEPLER_METHODS, LOWRANK_METHODS, convergence_table, kepler_stepper,
-                          observed_order)
+from .convergence import (KEPLER_METHODS, LOWRANK_METHODS, convergence_table, kepler_final,
+                          kepler_stepper, lowrank_final, observed_order)
 
 TRIG_METHODS = tuple(sorted(oscillatory.FILTERS))
 
@@ -161,9 +164,10 @@ def _run_kepler_longtime(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_fpu_exchange(cfg: ExperimentConfig) -> ExperimentResult:
     m = cfg.params["m"]
+    sys, y0 = make_fpu_chain(m, cfg.params["omega"])
     table, summary, diverged = _until_divergence(
-        cfg, oscillatory.run_energy_exchange_experiment, m, cfg.params["omega"], cfg.h, cfg.t_end,
-        filters=oscillatory.FILTERS[cfg.method](), record_every=cfg.record_every)
+        cfg, oscillatory.run_screened, sys, y0, oscillatory.FILTERS[cfg.method](), cfg.h,
+        cfg.t_end, record_every=cfg.record_every)
     swings = []
     for j in range(1, m + 1):
         e = table.column(f"E_{j}")
@@ -258,25 +262,67 @@ def _run_lowrank_exactness(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_lowrank_robustness(cfg: ExperimentConfig) -> ExperimentResult:
+    """Error of the splitting step versus the size of the discarded tail.
+
+    For each floor exponent f: the 40-by-40 rotating family A(t) with
+    singular values max(2^-i, 2^-f), i = 1..40, its tail entries times
+    ``tail_scale``.  A(t) is full rank, so the rank-``rank`` run really
+    exercises the tangent-space projection.  A row holds the error at
+    t_end of the splitting method (stepping with the exact increments
+    A(t + h) - A(t)), the best-approximation error sqrt(sum of squared
+    discarded values) and the error of the naive gauge integrator (the
+    explicit field F(t, Y) = dA/dt).  ``within_envelope`` flags
+    ksl_error <= 10 * best + 10 * h.  An overflowing splitting run is
+    recorded as ksl_error = inf and the remaining floors still run.
+
+    ``speed`` sets the spectral norm of the rotation generators.  The
+    default makes the gauge ODEs stiff enough (local Lipschitz constant
+    of order speed * ||S^-1||) that their direct integration overflows at
+    the default h: the contrast the run exists to show, recorded as
+    naive_error = inf.  The splitting moves along flat subspaces of the
+    rank manifold and never meets that constant.
+    """
     floors = [_convert("floors", x, int) for x in cfg.params["floors"].split(",") if x.strip()]
     if not floors:
         raise ContractViolationError(
             f"floors must list at least one exponent, got {cfg.params['floors']!r}")
-    table = lowrank.robustness_benchmark(
-        sv_floor_exponents=floors,
-        rank=cfg.params["rank"],
-        h=cfg.h,
-        t_end=cfg.t_end,
-        seed=cfg.seed,
-        tail_scale=cfg.params["tail_scale"],
-        speed=cfg.params["speed"],
-        method=cfg.method,
-    )
+    rank, tail_scale, h, t_end = cfg.params["rank"], cfg.params["tail_scale"], cfg.h, cfg.t_end
+    if rank < 1 or rank > 40:
+        raise ContractViolationError(f"rank must be in [1, 40], got {rank}")
+    rows = []
+    for f in floors:
+        d_vals = np.maximum(2.0 ** -np.arange(1, 41), 2.0**-f)
+        d_vals[rank:] *= tail_scale
+        if rank < 40 and not abs(d_vals[rank]) <= d_vals[rank - 1]:
+            raise ContractViolationError(
+                f"tail_scale {tail_scale} lifts the discarded values above the retained ones")
+        flow = lowrank.rotating_flow(d_vals, seed=cfg.seed, y_dependent=False,
+                                     speed=cfg.params["speed"])
+        y0 = lowrank.factorize(np.diag(d_vals), rank)
+        try:
+            ksl_error = lowrank.integrate_lowrank(
+                flow, y0, 0.0, t_end, h, method=cfg.method,
+                record_every=max(1, symplectic.step_count(h, t_end)),
+            )[-1].error
+        except SolverDivergenceError:
+            ksl_error = np.inf
+        best = float(np.sqrt(np.sum(d_vals[rank:] ** 2)))
+        try:
+            naive = lowrank.integrate_naive_gauge(flow, y0, 0.0, t_end, h)
+            naive_error = float(np.linalg.norm(naive - flow.exact_A(t_end)))
+            if not np.isfinite(naive_error):
+                naive_error = np.inf
+        except SolverDivergenceError:
+            naive_error = np.inf
+        rows.append([float(f), float(np.min(d_vals[:rank])), best, ksl_error, naive_error,
+                     1.0 if ksl_error <= 10.0 * best + 10.0 * h else 0.0])
+    table = SeriesTable(["floor_exponent", "sigma_min_retained", "best_error", "ksl_error",
+                         "naive_error", "within_envelope"], rows)
     envelope_ok = bool(np.all(table.column("within_envelope") == 1.0))
     # An overflowing splitting run is recorded as ksl_error = inf.
     diverged = bool(np.any(np.isinf(table.column("ksl_error"))))
     summary = {
-        "steps": symplectic.step_count(cfg.h, cfg.t_end) * len(floors),
+        "steps": symplectic.step_count(h, t_end) * len(floors),
         "max_ksl_error": float(np.max(table.column("ksl_error"))),
         "all_within_envelope": envelope_ok,
         "headline": (f"max_ksl_error={np.max(table.column('ksl_error')):.3g} "
@@ -285,30 +331,39 @@ def _run_lowrank_robustness(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(table, summary, diverged)
 
 
+# A family's reference run steps with its ladders' finest rung / this.
+_REFERENCE_REFINEMENT = 20
+
+
 def _run_convergence_orders(cfg: ExperimentConfig) -> ExperimentResult:
     levels = cfg.params["levels"]
     if levels < 3:
         raise ContractViolationError(f"levels must be >= 3, got {levels}")
-    method_list = list(KEPLER_METHODS) + list(LOWRANK_METHODS)
-    rows = []
-    orders = {}
+    for name in ("kepler_h0", "lowrank_h0"):
+        if not 0.0 < cfg.params[name] < np.inf:
+            raise ContractViolationError(f"{name} must be positive and finite, got {cfg.params[name]}")
+    # Each family: its final-state function, its methods, the order-2
+    # method of its reference run and its ladder's first step.
+    families = (
+        (kepler_final(cfg.t_end), KEPLER_METHODS, "stormer-verlet", cfg.params["kepler_h0"]),
+        (lowrank_final(cfg.t_end, cfg.seed), LOWRANK_METHODS, "ksl-strang", cfg.params["lowrank_h0"]),
+    )
+    rows, orders = [], {}
     diverged = False
-    for index, method in enumerate(method_list):
-        try:
-            if method in KEPLER_METHODS:
-                h_list = [cfg.params["kepler_h0"] * 0.5**k for k in range(levels)]
-                sub = convergence_table("kepler", method, h_list, t_end=cfg.t_end)
-            else:
-                h_list = [cfg.params["lowrank_h0"] * 0.5**k for k in range(levels)]
-                sub = convergence_table("lowrank-rotating", method, h_list,
-                                        t_end=cfg.t_end, seed=cfg.seed)
-        except SolverDivergenceError as exc:
-            # The ladder stops here; the rungs completed so far are the rows.
-            sub, diverged = exc.records, True
-        rows += [[float(index), *row] for row in sub.rows.tolist()]
-        if diverged:
-            break
-        orders[method] = observed_order(sub)
+    try:
+        for final, methods, reference_method, h0 in families:
+            h_values = [h0 * 0.5**k for k in range(levels)]
+            reference = final(reference_method, h_values[-1] / _REFERENCE_REFINEMENT)
+            for method in methods:
+                ladder = convergence_table(partial(final, method), reference, h_values)
+                rows += [[float(len(orders)), *row] for row in ladder.rows.tolist()]
+                orders[method] = observed_order(ladder)
+    except SolverDivergenceError as exc:
+        # The ladder stops here.  The rungs it completed are the last rows;
+        # a diverging reference run completed none.
+        if isinstance(exc.records, SeriesTable):
+            rows += [[float(len(orders)), *row] for row in exc.records.rows.tolist()]
+        diverged = True
     table = SeriesTable(["method_index", "h", "error", "order"], rows)
     summary = {
         "steps": len(rows),

@@ -15,7 +15,8 @@ exact on families of rank at most r.  No inverse of S appears
 anywhere on this path, which is why the step stays well behaved when S
 has tiny or zero singular values, as it does when a rank-r start holds a
 matrix of lower rank.  A naive integrator of the gauge ODEs (whose
-right-hand side does contain S^{-1}) is included for contrast only.
+right-hand side does contain S^{-1}) is included for contrast only; the
+experiment registry's ``lowrank-robustness`` runs both on the same flows.
 
 Each subflow is solved by the classical explicit 4-stage order-4 method
 with a configurable number of substeps.  When F does not depend on Y the
@@ -40,8 +41,7 @@ import numpy as np
 
 from .densela import as_matrix, qr_thin, svd_full, truncated_svd
 from .errors import ContractViolationError, SolverDivergenceError
-from .series import SeriesTable
-from .symplectic import step_count
+from .symplectic import require_count, step_count
 
 _ORTHO_TOL = 1e-10
 
@@ -139,7 +139,6 @@ class MatrixFlow:
     shape: tuple
     eval_F: Callable
     exact_A: Optional[Callable] = None
-    name: str = "flow"
     exact_sigma: Optional[np.ndarray] = None
     increment: Optional[Callable] = None
 
@@ -171,8 +170,7 @@ def _check_columns(mat, substep):
 def _validate_step_args(flow, y, substeps):
     if y.shape != flow.shape:
         raise ContractViolationError(f"factors have shape {y.shape}, flow expects {flow.shape}")
-    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
-        raise ContractViolationError(f"substeps must be an integer >= 1, got {substeps!r}")
+    require_count("substeps", substeps)
 
 
 def _subflow_solver(flow, t, span, substeps):
@@ -291,9 +289,7 @@ def integrate_lowrank(flow, y0, t0, t_end, h, method="ksl", substeps=10, record_
     except KeyError:
         raise ContractViolationError(f"method must be one of {sorted(_STEPPERS)}, got {method!r}") from None
     n_steps = step_count(h, t_end - t0)
-    record_every = int(record_every)
-    if record_every < 1:
-        raise ContractViolationError(f"record_every must be >= 1, got {record_every}")
+    require_count("record_every", record_every)
     _validate_step_args(flow, y0, substeps)
     y = y0
     records = [_record(flow, y, t0)]
@@ -444,80 +440,6 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
 
     sigma = np.zeros(min(m, n))
     sigma[:r0] = np.sort(np.abs(d_vals))[::-1]
-    return MatrixFlow(shape=(m, n), eval_F=eval_f, exact_A=exact_a, name="rotating",
-                      exact_sigma=sigma, increment=increment)
+    return MatrixFlow(shape=(m, n), eval_F=eval_f, exact_A=exact_a, exact_sigma=sigma,
+                      increment=increment)
 
-
-def robustness_benchmark(
-    sv_floor_exponents=(10, 20, 30, 40),
-    rank=8,
-    h=0.01,
-    t_end=1.0,
-    seed=0,
-    tail_scale=1.0,
-    speed=40.0,
-    method="ksl",
-) -> SeriesTable:
-    """Error of the splitting step versus the size of the discarded tail.
-
-    For each floor exponent f the benchmark builds the 40-by-40 rotating
-    family A(t) with singular values max(2^-i, 2^-f), i = 1..40 (tail
-    entries additionally multiplied by ``tail_scale``).  The splitting
-    integrator steps with its exact increments A(t + h) - A(t), the naive
-    one with the explicit field F(t, Y) = dA/dt.  Both are full rank, so
-    the rank-``rank`` approximation really exercises the tangent-space
-    projection.  Each row records the error at t_end of
-    the splitting integrator ``method`` ('ksl' or 'ksl-strang') next to
-    the best-approximation error sqrt(sum of squared discarded values)
-    and the error of the naive gauge integrator.  ``within_envelope`` flags
-    ksl_error <= 10 * best + 10 * h.  A splitting run that overflows is
-    recorded as ksl_error = inf (so outside the envelope), and the
-    remaining floors still run.
-
-    ``speed`` sets the spectral norm of the rotation generators.  The
-    default makes the gauge ODEs stiff enough (local Lipschitz constant
-    of order speed * ||S^-1||) that their direct integration overflows
-    at this h, which is the contrast the benchmark exists to show; the
-    splitting integrator moves along flat subspaces of the rank manifold
-    and never meets that constant.  Overflow of the naive run is an
-    outcome, recorded as inf, not an error.
-    """
-    if rank < 1 or rank > 40:
-        raise ContractViolationError(f"rank must be in [1, 40], got {rank}")
-    rows = []
-    for f in sv_floor_exponents:
-        d_vals = np.maximum(2.0 ** -np.arange(1, 41), 2.0**-f)
-        d_vals[rank:] *= tail_scale
-        if rank < 40 and not abs(d_vals[rank]) <= d_vals[rank - 1]:
-            raise ContractViolationError(
-                f"tail_scale {tail_scale} lifts the discarded values above the retained ones")
-        flow = rotating_flow(d_vals, seed=seed, y_dependent=False, speed=speed)
-        y0 = factorize(np.diag(d_vals), rank)
-        try:
-            ksl_error = integrate_lowrank(
-                flow, y0, 0.0, t_end, h, method=method,
-                record_every=max(1, step_count(h, t_end)),
-            )[-1].error
-        except SolverDivergenceError:
-            ksl_error = np.inf
-        best = float(np.sqrt(np.sum(d_vals[rank:] ** 2)))
-        try:
-            naive = integrate_naive_gauge(flow, y0, 0.0, t_end, h)
-            naive_error = float(np.linalg.norm(naive - flow.exact_A(t_end)))
-            if not np.isfinite(naive_error):
-                naive_error = np.inf
-        except SolverDivergenceError:
-            naive_error = np.inf
-        rows.append([
-            float(f),
-            float(np.min(d_vals[:rank])),
-            best,
-            ksl_error,
-            naive_error,
-            1.0 if ksl_error <= 10.0 * best + 10.0 * h else 0.0,
-        ])
-    return SeriesTable(
-        ["floor_exponent", "sigma_min_retained", "best_error", "ksl_error",
-         "naive_error", "within_envelope"],
-        rows,
-    )

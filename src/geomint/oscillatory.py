@@ -22,6 +22,9 @@ since its distance to a multiple of pi cannot be resolved.  Signed sums of the
 h*omega_j are additionally checked against nonzero multiples of 2*pi.
 The report is a warning-or-refuse policy device; it does not guarantee
 the long-time behavior, it only refuses step sizes that are known bad.
+``run_screened`` is a screened run and its energy_table; the models it
+runs on, their sizes and the record interval are the experiment
+registry's (``geomint.harness.experiments``).
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from .errors import (ContractViolationError, InadmissibleStepError, ResonantStep
 from .models.state import Trajectory
 from .models.systems import OscillatorySystem
 from .models.systems import oscillatory_energies  # noqa: F401 -- perfbench's tracer patches this name
-from .models.fpu import make_fpu_chain
+from .models.fpu import make_fpu_chain  # noqa: F401 -- perfbench's tracer and setup probe patch it
 from .series import SeriesTable
-from .symplectic import StepperConfig, integrate, step_count
+from .symplectic import StepperConfig, integrate
 
 _SINC_TAYLOR_CUTOFF = 1e-8
 _SINC_SINGULARITY_TOL = 1e-12
@@ -358,13 +361,12 @@ def energy_table(sys: OscillatorySystem, trajectory: Trajectory) -> SeriesTable:
     )
 
 
-def run_screened(sys, y0, filters, h, t_end, record_every=None) -> SeriesTable:
-    """energy_table of a filtered run, after refusing an inadmissible h
-    (InadmissibleStepError with the resonance report attached).
-    ``record_every`` defaults to max(1, steps // 2000).  If step k leaves
-    the state non-finite, the raised SolverDivergenceError carries
-    ``step_index = k`` and the energy_table of the records before it in
-    ``records``."""
+def run_screened(sys, y0, filters, h, t_end, record_every) -> SeriesTable:
+    """energy_table of a filtered run recording every ``record_every``-th
+    step, after refusing an inadmissible h (InadmissibleStepError with the
+    resonance report attached).  If step k leaves the state non-finite,
+    the raised SolverDivergenceError carries ``step_index = k`` and the
+    energy_table of the records before it in ``records``."""
     report = resonance_report(sys, h)
     if not report.admissible:
         blocks = report.block_indices[~report.freq_admissible].tolist()
@@ -374,8 +376,6 @@ def run_screened(sys, y0, filters, h, t_end, record_every=None) -> SeriesTable:
             "for that distance to be resolved",
             report=report,
         )
-    if record_every is None:
-        record_every = max(1, step_count(h, t_end) // 2000)
     # A bare name, looked up here at call time: perfbench's tracer patches it.
     try:
         trajectory = integrate(sys, TrigKernel(sys, filters), StepperConfig(step_size=float(h)), y0,
@@ -384,12 +384,3 @@ def run_screened(sys, y0, filters, h, t_end, record_every=None) -> SeriesTable:
         exc.records = energy_table(sys, exc.records)
         raise
     return energy_table(sys, trajectory)
-
-
-def run_energy_exchange_experiment(m, omega, h, t_end, filters=None, record_every=None) -> SeriesTable:
-    """run_screened on the stiff spring chain: its energy_table has columns
-    t, E_1..E_m (fast-block energies), H_omega, H_slow, H and H_rel_drift."""
-    sys, y0 = make_fpu_chain(m, omega)
-    if filters is None:
-        filters = mollified_impulse_filter()
-    return run_screened(sys, y0, filters, h, t_end, record_every)

@@ -223,6 +223,12 @@ def step_count(h, span):
     return n_steps
 
 
+def require_count(name, value):
+    """ContractViolationError unless ``value`` is an int or np.integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ContractViolationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end,
               record_every=1) -> Trajectory:
     """Run step_count(h, t_end) fixed steps from t = 0; return their Trajectory.
@@ -239,9 +245,7 @@ def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end
     _require_separable(sys)
     h = cfg.step_size
     n_steps = step_count(h, t_end)
-    record_every = int(record_every)
-    if record_every < 1:
-        raise ContractViolationError(f"record_every must be >= 1, got {record_every}")
+    require_count("record_every", record_every)
     if y0.dim != sys.dim:
         raise ContractViolationError(f"y0 has dimension {y0.dim}, system expects {sys.dim}")
     kernel = resolve_method(method)
@@ -283,8 +287,9 @@ def canonical_two_form(dim):
     return j
 
 
-def symplecticity_defect(sys, method, cfg, y: PhaseState, fd_step=1e-6) -> float:
-    """|| (D Phi)^T J (D Phi) - J ||_F with D Phi from centered differences.
+def symplecticity_defect(sys, method, cfg, y: PhaseState) -> float:
+    """|| (D Phi)^T J (D Phi) - J ||_F with D Phi from centered differences
+    of step 1e-6.
 
     Exactly symplectic maps give zero up to finite-difference noise;
     the explicit and implicit Euler methods give a defect of order h^2.
@@ -297,7 +302,7 @@ def symplecticity_defect(sys, method, cfg, y: PhaseState, fd_step=1e-6) -> float
         p1, q1, _ = kernel(sys, cfg, cfg.step_size, y_flat[:d], y_flat[d:])
         return np.concatenate((p1, q1))
 
-    dphi = central_jacobian(phi, y.flat(), step=fd_step)
+    dphi = central_jacobian(phi, y.flat(), step=1e-6)
     j = canonical_two_form(d)
     return float(np.linalg.norm(dphi.T @ j @ dphi - j))
 

@@ -120,9 +120,9 @@ def test_criterion_04_angular_momentum(capsys):
 
 def test_criterion_05_energy_exchange_and_linear_exactness(capsys):
     t0 = time.perf_counter()
-    table = oscillatory.run_energy_exchange_experiment(
-        3, 50.0, 0.02, 200.0,
-        filters=oscillatory.mollified_impulse_filter(), record_every=5)
+    sys, y0 = models.make_fpu_chain(3, 50.0)
+    table = oscillatory.run_screened(sys, y0, oscillatory.mollified_impulse_filter(), 0.02, 200.0,
+                                     record_every=5)
     h_omega = table.column("H_omega")
     h_slow = table.column("H_slow")
     h_total = table.column("H")
@@ -133,7 +133,6 @@ def test_criterion_05_energy_exchange_and_linear_exactness(capsys):
 
     # With the coupling removed the method must reproduce the oscillators
     # exactly; only roundoff may accumulate over the 10^4 steps.
-    sys, y0 = models.make_fpu_chain(3, 50.0)
     lin = models.strip_coupling(sys)
     start = PhaseState(p=np.zeros(sys.dim), q=y0.q.copy())
     start.p[3:] = y0.p[3:]
@@ -195,8 +194,8 @@ def test_criterion_07_low_rank_exactness(capsys):
 
 def test_criterion_08_low_rank_robustness(capsys):
     t0 = time.perf_counter()
-    bench = lowrank.robustness_benchmark()
-    scaled = lowrank.robustness_benchmark(tail_scale=1e-6)
+    bench = run("lowrank-robustness").table
+    scaled = run("lowrank-robustness", params={"tail_scale": 1e-6}).table
     ksl_err = bench.column("ksl_error")
     best = bench.column("best_error")
     naive = bench.column("naive_error")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geomint import lowrank, oscillatory
+from geomint import lowrank, oscillatory, symplectic
 from geomint.errors import ContractViolationError, GeomintError, SolverDivergenceError
 from geomint.harness import cli, convergence, csvio, experiments
 from geomint.series import SeriesTable
@@ -151,16 +151,10 @@ def test_observed_order_on_synthetic_errors():
     assert convergence.observed_order(table) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_convergence_table_requires_halving_grid():
-    with pytest.raises(ContractViolationError):
-        convergence.convergence_table("kepler", "stormer-verlet", [0.1, 0.05])
-    with pytest.raises(ContractViolationError):
-        convergence.convergence_table("kepler", "stormer-verlet", [0.1, 0.07, 0.05])
-
-
 def test_convergence_table_kepler_verlet_is_second_order():
-    table = convergence.convergence_table(
-        "kepler", "stormer-verlet", [0.04, 0.02, 0.01], t_end=1.0)
+    final = convergence.kepler_final(1.0)
+    table = convergence.convergence_table(lambda h: final("stormer-verlet", h),
+                                          final("stormer-verlet", 0.01 / 20), [0.04, 0.02, 0.01])
     assert table.columns[0] == "h"
     assert 1.8 <= convergence.observed_order(table) <= 2.2
 
@@ -356,10 +350,14 @@ def test_contract_violation_maps_to_exit_two(tmp_path):
         "--h", "0.1", "--t-end", "1", "--param", "spin=1",
         "--output", str(tmp_path / "y.csv"),
     ]) == 2
-    # An infinite frequency or Klein-Gordon mass is refused before any row.
+    # An infinite frequency or Klein-Gordon mass, and a step ladder that
+    # does not start at a positive finite step, are refused before any row.
     for args in (["fpu-resonance-scan", "--param", "omega=inf"],
                  ["fpu-exchange", "--param", "omega=inf"],
-                 ["klein-gordon-decay", "--param", "rho=inf"]):
+                 ["klein-gordon-decay", "--param", "rho=inf"],
+                 ["convergence-orders", "--param", "kepler_h0=0"],
+                 ["convergence-orders", "--param", "kepler_h0=inf"],
+                 ["convergence-orders", "--param", "lowrank_h0=nan"]):
         dest = tmp_path / f"{args[0]}.csv"
         assert cli.main(["run", *args, "--output", str(dest)]) == 2, args
         assert not dest.exists(), args
@@ -452,6 +450,42 @@ def test_overflowing_robustness_floors_are_recorded_as_inf(tmp_path, capsys):
     assert np.all(table.column("within_envelope") == 0.0)
 
 
+def test_convergence_orders_runs_one_reference_per_family(monkeypatch):
+    # At the defaults: 5 Kepler methods and 2 low-rank methods, 4 rungs
+    # each, plus one tiny-step reference run per family.
+    runs = {"kepler": 0, "lowrank": 0}
+
+    def counting(family, run):
+        def counted(*args, **kwargs):
+            runs[family] += 1
+            return run(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(symplectic, "integrate", counting("kepler", symplectic.integrate))
+    monkeypatch.setattr(lowrank, "integrate_lowrank", counting("lowrank", lowrank.integrate_lowrank))
+    result = experiments.run_experiment(experiments.ExperimentConfig("convergence-orders"))
+    assert not result.diverged
+    assert runs == {"kepler": 21, "lowrank": 9}
+
+
+def test_a_diverging_reference_run_ends_the_table_before_its_family(monkeypatch):
+    # The low-rank reference run overflows after the Kepler ladders: their
+    # rows are the table, and no low-rank rung is recorded.
+    def lowrank_final(t_end, seed):
+        def final(method, h):
+            exc = SolverDivergenceError("reference overflowed", step_index=1)
+            exc.records = []
+            raise exc
+
+        return final
+
+    monkeypatch.setattr(experiments, "lowrank_final", lowrank_final)
+    result = experiments.run_experiment(experiments.ExperimentConfig("convergence-orders"))
+    assert result.diverged
+    assert result.table.column("method_index").tolist() == [float(i) for i in range(5) for _ in range(4)]
+    assert list(result.summary["orders"]) == list(convergence.KEPLER_METHODS)
+
+
 def test_convergence_ladder_divergence_writes_the_completed_rungs(tmp_path, capsys):
     # Implicit Euler's Newton solve fails on its coarsest rung (h = 0.1);
     # explicit Euler's three rungs were completed before it.
@@ -482,8 +516,10 @@ def test_oscillatory_divergence_writes_its_partial_csv(tmp_path, capsys, method,
 
 
 def test_convergence_table_divergence_carries_the_completed_rungs():
+    final = convergence.kepler_final(1.0)
     with pytest.raises(SolverDivergenceError) as caught:
-        convergence.convergence_table("kepler", "implicit-euler", [0.4, 0.2, 0.1], t_end=1.0)
+        convergence.convergence_table(lambda h: final("implicit-euler", h),
+                                      final("stormer-verlet", 0.1 / 20), [0.4, 0.2, 0.1])
     assert isinstance(caught.value.records, SeriesTable)
     assert caught.value.records.columns == ["h", "error", "order"]
 

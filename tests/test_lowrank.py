@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from geomint import lowrank
 from geomint.errors import ContractViolationError, SolverDivergenceError
+from geomint.harness import experiments
 from geomint.lowrank import (
     LowRankFactors,
     MatrixFlow,
@@ -18,7 +19,6 @@ from geomint.lowrank import (
     integrate_naive_gauge,
     ksl_step,
     naive_gauge_rhs,
-    robustness_benchmark,
     rotating_flow,
     strang_step,
     tangent_project,
@@ -402,6 +402,16 @@ def test_integrate_validations():
         integrate_lowrank(flow, y0, 0.0, 1.0, 10.0)
 
 
+@pytest.mark.parametrize("record_every", [1.5, 2.9, "2", None])
+def test_record_every_that_is_not_an_integer_is_refused(record_every):
+    flow = forced_flow()
+    y0 = factorize(np.random.default_rng(2).standard_normal((6, 5)), 2)
+    with pytest.raises(ContractViolationError, match="record_every must be an integer >= 1"):
+        integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, record_every=record_every)
+    records = integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, record_every=np.int64(2))
+    assert [rec.t for rec in records] == pytest.approx([0.2 * k for k in range(6)])
+
+
 # ------------------------------------------------------------- rotating flow
 
 
@@ -566,7 +576,8 @@ def test_step_ceiling_is_a_contract_violation(run):
 
 
 def test_benchmark_table_shape_and_best_error_formula():
-    table = robustness_benchmark(sv_floor_exponents=(40,))
+    table = experiments.run_experiment(experiments.ExperimentConfig(
+        "lowrank-robustness", params={"floors": "40"})).table
     assert table.columns == ["floor_exponent", "sigma_min_retained", "best_error",
                              "ksl_error", "naive_error", "within_envelope"]
     row = dict(zip(table.columns, table.rows[0]))

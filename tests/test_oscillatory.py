@@ -24,7 +24,7 @@ from geomint.oscillatory import (
     TrigKernel,
     energy_table,
     resonance_report,
-    run_energy_exchange_experiment,
+    run_screened,
     sinc,
 )
 
@@ -327,7 +327,7 @@ def test_resonance_report_flags_frequency_ratios():
 
 def test_exchange_experiment_refuses_resonant_step():
     with pytest.raises(InadmissibleStepError) as info:
-        run_energy_exchange_experiment(3, 50.0, np.pi / 50.0, 10.0)
+        run_screened(*fpu(), MOLLIFIED, np.pi / 50.0, 10.0, 1)
     assert info.value.report is not None
     assert not info.value.report.admissible
 
@@ -347,7 +347,7 @@ def test_energy_table_lists_positive_frequency_blocks_only():
 
 
 def test_energy_exchange_with_conserved_totals():
-    table = run_energy_exchange_experiment(3, 50.0, 0.02, 200.0)
+    table = run_screened(*fpu(), MOLLIFIED, 0.02, 200.0, 5)
     h_omega = table.column("H_omega")
     h_total = table.column("H")
     # Fast energy is nearly conserved while single-spring energies swing.

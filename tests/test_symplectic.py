@@ -176,6 +176,14 @@ def test_integrate_validations():
         integrate(HARMONIC, "runge-kutta", cfg(0.1), UNIT, 1.0)
 
 
+@pytest.mark.parametrize("record_every", [1.5, 2.9, "2", None])
+def test_record_every_that_is_not_an_integer_is_refused(record_every):
+    with pytest.raises(ContractViolationError, match="record_every must be an integer >= 1"):
+        integrate(HARMONIC, "stormer-verlet", cfg(0.1), UNIT, 1.0, record_every=record_every)
+    records = integrate(HARMONIC, "stormer-verlet", cfg(0.1), UNIT, 1.0, record_every=np.int64(2))
+    assert records.t.tolist() == pytest.approx([0.2 * k for k in range(6)])
+
+
 class _NotSeparable:
     """Exposes the Hamiltonian interface but is not a SeparableSystem."""
 
