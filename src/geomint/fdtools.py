@@ -23,10 +23,11 @@ def central_jacobian(f, x, step=1e-6):
     if x.size == 0:
         raise ContractViolationError("central_jacobian needs a non-empty x")
     jac = None
+    two_step = np.array(2.0 * step)  # 0-d: divides with less overhead, same bits
     for i in range(x.size):
         e = np.zeros(x.size)
         e[i] = step
-        column = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * step)
+        column = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / two_step
         if jac is None:
             jac = np.zeros((column.size, x.size))
         jac[:, i] = column

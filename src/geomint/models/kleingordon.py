@@ -65,6 +65,7 @@ def make_klein_gordon(K, rho, eps):
 
     n_points = 2 * K + 1
     _, basis = collocation_basis(K)
+    divisor = np.array(float(n_points))  # a 0-d divisor: same bits, less overhead
 
     def eval_U(q):
         # basis @ q on the last axis; for a stack of states this gives each
@@ -74,7 +75,7 @@ def make_klein_gordon(K, rho, eps):
 
     def grad_U(q):
         u = basis @ q
-        return -(basis.T @ (u * u)) / n_points
+        return -(basis.T @ (u * u)) / divisor
 
     mode_numbers = np.arange(K + 1)
     sys = OscillatorySystem(

@@ -89,6 +89,8 @@ class OscillatorySystem(SeparableSystem):
         self.grad_U = grad_U
         # Per-coordinate frequency vector, used by steppers and energies.
         self.omega = np.repeat(freqs, dims)
+        with np.errstate(over="ignore"):  # a finite omega may square to inf
+            self._omega_sq = self.omega**2
         self._block_slices = []
         start = 0
         for nd in dims:
@@ -102,10 +104,11 @@ class OscillatorySystem(SeparableSystem):
         )
 
     def _eval_V(self, q):
-        return 0.5 * float((self.omega * q) @ (self.omega * q)) + float(self.eval_U(q))
+        wq = self.omega * q
+        return 0.5 * float(wq @ wq) + float(self.eval_U(q))
 
     def _grad_V(self, q):
-        return self.omega**2 * q + self.grad_U(q)
+        return self._omega_sq * q + self.grad_U(q)
 
     def block_slice(self, j):
         return self._block_slices[j]

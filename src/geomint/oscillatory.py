@@ -29,6 +29,7 @@ registry's (``geomint.harness.experiments``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -117,7 +118,10 @@ class TrigKernel:
         self._coeff_cache = {}
 
     def _coefficients(self, h):
-        cached = self._coeff_cache.get(h)
+        """The step's coefficients, built once per h (-0.0 apart from +0.0); the
+        factors h^2/2 and h/2 are 0-d arrays, which broadcast faster than floats."""
+        key = (h, math.copysign(1.0, h))
+        cached = self._coeff_cache.get(key)
         if cached is not None:
             return cached
         sys = self.sys
@@ -136,27 +140,21 @@ class TrigKernel:
         psi = np.asarray(self.filters.psi(xi), dtype=float)
         phi = np.asarray(self.filters.phi(xi), dtype=float)
         cos_xi = np.cos(xi)
-        coeffs = {
-            "cos": cos_xi,
-            "hsinc": h * sinc_xi,  # Omega^{-1} sin(h Omega)
-            "wsin": sys.omega * np.sin(xi),  # Omega sin(h Omega)
-            "phi": phi,
-            "psi": psi,
-            "psi1": psi / sinc_xi,
-            "psi0": cos_xi * psi / sinc_xi,
-        }
-        self._coeff_cache[h] = coeffs
+        # cos, Omega^{-1} sin, -Omega sin (of h Omega), phi, psi, psi1, psi0, h^2/2, h/2
+        coeffs = (cos_xi, h * sinc_xi, -(sys.omega * np.sin(xi)), phi, psi, psi / sinc_xi,
+                  cos_xi * psi / sinc_xi, np.array(0.5 * h * h), np.array(0.5 * h))
+        self._coeff_cache[key] = coeffs
         return coeffs
 
     def __call__(self, sys, cfg, h, p, q, g=None):
         if sys is not self.sys:
             raise ContractViolationError("kernel used with a different system than it was built for")
-        c = self._coefficients(h)
+        cos, hsinc, nwsin, phi, psi, psi1, psi0, h2_half, h_half = self._coefficients(h)
         if g is None:
-            g = -self.sys.grad_U(c["phi"] * q)
-        q1 = c["cos"] * q + c["hsinc"] * p + 0.5 * h * h * (c["psi"] * g)
-        g1 = -self.sys.grad_U(c["phi"] * q1)
-        p1 = -c["wsin"] * q + c["cos"] * p + 0.5 * h * (c["psi0"] * g + c["psi1"] * g1)
+            g = -sys.grad_U(phi * q)
+        q1 = cos * q + hsinc * p + h2_half * (psi * g)
+        g1 = -sys.grad_U(phi * q1)
+        p1 = nwsin * q + cos * p + h_half * (psi0 * g + psi1 * g1)
         return p1, q1, g1
 
 
@@ -288,8 +286,8 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
     h = float(h)
     if h <= 0.0 or not np.isfinite(h):
         raise ContractViolationError(f"h must be positive and finite, got {h}")
-    if n_sum_terms < 0:
-        raise ContractViolationError(f"n_sum_terms must be >= 0, got {n_sum_terms}")
+    if not isinstance(n_sum_terms, (int, np.integer)) or n_sum_terms < 0:
+        raise ContractViolationError(f"n_sum_terms must be an integer >= 0, got {n_sum_terms!r}")
     threshold = np.sqrt(h)
     positive = np.flatnonzero(sys.frequencies > 0.0)
     xi = h * sys.frequencies[positive]

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Real
 from typing import Callable, Union
 
 import numpy as np
@@ -50,17 +52,18 @@ SOLVER_MAX_ITER = 50
 class StepperConfig:
     """Step size plus the implicit solver, ``fixed-point`` or ``newton``.
 
-    ``step_size`` must be finite; integrate() additionally requires it
-    positive, while the symmetry diagnostic deliberately runs steps with
-    the sign flipped.
+    ``step_size`` must be a finite real scalar and is stored as a Python
+    float; integrate() additionally requires it positive, while the
+    symmetry diagnostic deliberately runs steps with the sign flipped.
     """
 
     step_size: float
     solver: str = "fixed-point"
 
     def __post_init__(self):
-        if not np.isfinite(self.step_size):
-            raise ContractViolationError(f"step_size must be finite, got {self.step_size}")
+        if not isinstance(self.step_size, Real) or not math.isfinite(self.step_size):
+            raise ContractViolationError(f"step_size must be a finite real, got {self.step_size!r}")
+        object.__setattr__(self, "step_size", float(self.step_size))
         if self.solver not in _SOLVERS:
             raise ContractViolationError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
 
@@ -70,14 +73,14 @@ def _fixed_point(map_fn, x0):
     residual = np.inf
     for iteration in range(1, SOLVER_MAX_ITER + 1):
         x_new = map_fn(x)
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             raise SolverDivergenceError(
                 "fixed-point iteration produced non-finite values",
                 iterations=iteration,
                 residual=float("inf"),
             )
-        residual = float(np.max(np.abs(x_new - x)))
-        if residual <= SOLVER_TOL * (1.0 + float(np.max(np.abs(x_new)))):
+        residual = float(np.abs(x_new - x).max())
+        if residual <= SOLVER_TOL * (1.0 + float(np.abs(x_new).max())):
             return x_new
         x = x_new
     raise SolverDivergenceError(
@@ -93,14 +96,14 @@ def _newton(residual_fn, x0):
     residual = np.inf
     for iteration in range(1, SOLVER_MAX_ITER + 1):
         r = residual_fn(x)
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise SolverDivergenceError(
                 "Newton residual is non-finite",
                 iterations=iteration,
                 residual=float("inf"),
             )
-        residual = float(np.max(np.abs(r)))
-        if residual <= SOLVER_TOL * (1.0 + float(np.max(np.abs(x)))):
+        residual = float(np.abs(r).max())
+        if residual <= SOLVER_TOL * (1.0 + float(np.abs(x).max())):
             return x
         jac = central_jacobian(residual_fn, x, step=1e-7)
         try:
@@ -125,27 +128,39 @@ def _require_separable(sys):
         raise ContractViolationError(f"steppers need a SeparableSystem, got {type(sys).__name__}")
 
 
+@lru_cache(maxsize=16)
+def _step_constants(h, sign):
+    """Read-only 0-d h and h / 2 (faster than floats); ``sign`` keeps -0.0 apart."""
+    constants = np.array([h, 0.5 * h])
+    constants.flags.writeable = False
+    return constants[0, ...], constants[1, ...]
+
+
 # Kernels: (sys, cfg, h, p, q, g=None) -> (p1, q1, g1); see resolve_method.
 # No Euler method evaluates grad V where its next step starts, so nothing
 # is carried: ``g`` is ignored and the returned gradient is None.
 
 
 def _explicit_euler(sys, cfg, h, p, q, g=None):
+    h, _ = _step_constants(h, math.copysign(1.0, h))
     return p - h * sys.grad_V(q), q + h * (sys.inverse_masses * p), None
 
 
 def _symplectic_euler_pq(sys, cfg, h, p, q, g=None):
+    h, _ = _step_constants(h, math.copysign(1.0, h))
     p1 = p - h * sys.grad_V(q)
     return p1, q + h * (sys.inverse_masses * p1), None
 
 
 def _symplectic_euler_qp(sys, cfg, h, p, q, g=None):
+    h, _ = _step_constants(h, math.copysign(1.0, h))
     q1 = q + h * (sys.inverse_masses * p)
     return p - h * sys.grad_V(q1), q1, None
 
 
 def _implicit_euler(sys, cfg, h, p, q, g=None):
     # Only the position equation is genuinely implicit.
+    h, _ = _step_constants(h, math.copysign(1.0, h))
     minv = sys.inverse_masses
     if cfg.solver == "fixed-point":
         q1 = _fixed_point(lambda q1: q + h * (minv * (p - h * sys.grad_V(q1))), q)
@@ -155,12 +170,13 @@ def _implicit_euler(sys, cfg, h, p, q, g=None):
 
 
 def _verlet_kernel(sys, cfg, h, p, q, g=None):
+    h, half = _step_constants(h, math.copysign(1.0, h))
     if g is None:
         g = sys.grad_V(q)
-    p_half = p - 0.5 * h * g
+    p_half = p - half * g
     q1 = q + h * (sys.inverse_masses * p_half)
     g1 = sys.grad_V(q1)
-    return p_half - 0.5 * h * g1, q1, g1
+    return p_half - half * g1, q1, g1
 
 
 METHOD_IDS = {
@@ -205,13 +221,13 @@ def step_count(h, span):
     of length ``span``: 0 for an empty interval.  The one step counter of
     integrate(), the low-rank integrators and the harness.
 
-    Refuses h <= 0, span < 0, a nonempty interval shorter than half a step
-    and more than MAX_STEPS steps (ContractViolationError).
+    Refuses a non-real h or span, h <= 0, span < 0, a nonempty interval
+    shorter than half a step and more than MAX_STEPS steps (ContractViolationError).
     """
-    if not h > 0.0:
-        raise ContractViolationError(f"step size must be > 0, got {h}")
-    if not span >= 0.0:
-        raise ContractViolationError(f"interval length must be >= 0, got {span}")
+    if not (isinstance(h, Real) and h > 0.0):
+        raise ContractViolationError(f"step size must be a real > 0, got {h!r}")
+    if not (isinstance(span, Real) and span >= 0.0):
+        raise ContractViolationError(f"interval length must be a real >= 0, got {span!r}")
     ratio = span / h
     if not ratio <= MAX_STEPS:
         raise ContractViolationError(
@@ -258,15 +274,15 @@ def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end
     ps[0], qs[0] = y0.p, y0.q
     p, q, g = y0.p.copy(), y0.q.copy(), None
     row = 1
-    # x.dot(zero) is nan exactly when x has an inf or nan entry (inf * 0 is
-    # nan), which checks each step's result in two cheap calls.  Overflow
-    # is then reported as the divergence it is, not as a warning.
+    # p.dot(q) is finite unless p or q has an inf or nan entry or the sum
+    # overflows; only then is x.dot(zero) taken, nan exactly when x has an
+    # inf or nan entry (inf * 0 is nan).  Overflow is thus a divergence.
     zero = np.zeros(y0.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             try:
                 p, q, g = kernel(sys, cfg, h, p, q, g)
-                if math.isnan(p.dot(zero) + q.dot(zero)):
+                if not math.isfinite(p.dot(q)) and math.isnan(p.dot(zero) + q.dot(zero)):
                     raise SolverDivergenceError(f"step {k} left the state non-finite")
             except SolverDivergenceError as exc:
                 exc.step_index = k

@@ -567,6 +567,15 @@ def test_gauge_integration_refuses_a_step_longer_than_the_interval():
     assert np.array_equal(integrate_naive_gauge(flow, y0, 1.0, 1.0, 10.0), to_full(y0))
 
 
+@pytest.mark.parametrize("h", ["0.1", None, 1j], ids=["str", "none", "complex"])
+@pytest.mark.parametrize("run", [integrate_lowrank, integrate_naive_gauge])
+def test_a_step_size_that_is_not_real_is_refused(run, h):
+    flow = rotating_flow([1.0, 0.5], m=4, n=3, seed=2)
+    y0 = factorize(flow.exact_A(0.0), 2)
+    with pytest.raises(ContractViolationError, match="step size must be a real"):
+        run(flow, y0, 0.0, 1.0, h)
+
+
 @pytest.mark.parametrize("run", [integrate_lowrank, integrate_naive_gauge])
 def test_step_ceiling_is_a_contract_violation(run):
     flow = rotating_flow([1.0, 0.5], m=4, n=3, seed=2)

@@ -325,6 +325,15 @@ def test_resonance_report_flags_frequency_ratios():
     assert len(rep.near_resonant_pairs) > 0
 
 
+@pytest.mark.parametrize("n_sum_terms", [1.5, "1", None, -1, 1.0],
+                         ids=["float", "str", "none", "negative", "whole-float"])
+def test_resonance_report_refuses_a_sum_order_that_is_not_a_count(n_sum_terms):
+    sys, _ = fpu()
+    with pytest.raises(ContractViolationError, match="n_sum_terms must be an integer >= 0"):
+        resonance_report(sys, 0.02, n_sum_terms=n_sum_terms)
+    assert resonance_report(sys, 0.02, n_sum_terms=np.int64(0)).sum_values.size == 3
+
+
 def test_exchange_experiment_refuses_resonant_step():
     with pytest.raises(InadmissibleStepError) as info:
         run_screened(*fpu(), MOLLIFIED, np.pi / 50.0, 10.0, 1)

@@ -1,5 +1,7 @@
 """Fixed-step one-step methods and their structural diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -224,6 +226,28 @@ def test_stepper_config_validations():
         StepperConfig(step_size=0.1, solver="conjugate-gradient")
 
 
+@pytest.mark.parametrize("step_size", ["0.1", None, [0.1, 0.2], 1j, np.array([0.1])],
+                         ids=["str", "none", "list", "complex", "array"])
+def test_stepper_config_refuses_what_is_not_a_real_scalar(step_size):
+    with pytest.raises(ContractViolationError, match="finite real"):
+        StepperConfig(step_size=step_size)
+
+
+def test_stepper_config_stores_the_step_size_as_a_python_float():
+    for step_size in (np.float64(0.1), np.float32(0.5), 2, np.int64(3)):
+        config = StepperConfig(step_size=step_size)
+        assert type(config.step_size) is float and config.step_size == float(step_size)
+
+
+@pytest.mark.parametrize("h, t_end", [(0.1, "10"), (0.1, None), ("0.1", 1.0), (None, 1.0), (0.1, 1j)])
+def test_step_count_refuses_a_non_real_step_or_interval(h, t_end):
+    with pytest.raises(ContractViolationError, match="must be a real"):
+        symplectic.step_count(h, t_end)
+    if isinstance(h, float):
+        with pytest.raises(ContractViolationError, match="interval length must be a real"):
+            integrate(HARMONIC, "stormer-verlet", cfg(h), UNIT, t_end)
+
+
 def test_blow_up_is_a_divergence_with_the_step_and_partial_records():
     # Explicit Euler grows the harmonic energy by (1 + h^2) per step: at
     # h = 10 the state overflows after about 300 steps.
@@ -256,6 +280,70 @@ def test_any_non_finite_entry_stops_the_run_at_its_step(bad):
         integrate(sys, kernel, cfg(0.1), y0, 1.0)
     assert info.value.step_index == 3
     assert len(info.value.records) == 3
+
+
+def _two_dot_reference(kernel, sys, h, y0, n_steps, record_every):
+    """integrate()'s loop with the check it had before the one-dot test:
+    (step_index or None, records as (t, p, q) tuples)."""
+    zero = np.zeros(y0.dim)
+    p, q, g = y0.p.copy(), y0.q.copy(), None
+    records = [(0.0, y0.p.copy(), y0.q.copy())]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            p, q, g = kernel(sys, cfg(h), h, p, q, g)
+            if math.isnan(p.dot(zero) + q.dot(zero)):
+                return k, records
+            if k % record_every == 0 or k == n_steps:
+                records.append((k * h, p.copy(), q.copy()))
+    return None, records
+
+
+@given(dim=st.integers(1, 5), n_steps=st.integers(1, 12), bad_step=st.integers(1, 14),
+       record_every=st.integers(1, 4), spoil_p=st.booleans(), spoil_q=st.booleans(),
+       entry=st.integers(0, 4), value=st.sampled_from([np.inf, -np.inf, np.nan]),
+       magnitude=st.sampled_from([0.0, 1.0, 1e200, -1e200]), seed=st.integers(0, 2**32 - 1))
+def test_the_one_dot_check_stops_where_the_two_dot_check_did(dim, n_steps, bad_step, record_every, spoil_p,
+                                                                spoil_q, entry, value, magnitude, seed):
+    # States of entries 0 or ±1e200, whose p.q overflows to ±inf or nan
+    # without being a divergence; at ``bad_step`` the kernel writes inf or
+    # nan into p and/or q.  The run must stop at the same step with the same
+    # records as under the two-dot test, or not stop at all.
+    sys = SeparableSystem(np.ones(dim), lambda q: 0.0, lambda q: np.zeros(dim))
+    rng = np.random.default_rng(seed)
+    states = magnitude * rng.choice([-1.0, 1.0], size=(n_steps + 1, 2, dim))
+
+    def kernel(sys, cfg, h, p, q, g=None):
+        k = 1 if g is None else g + 1  # the carried "gradient" counts the steps
+        p1, q1 = states[k].copy()
+        if k == bad_step:
+            if spoil_p:
+                p1[entry % dim] = value
+            if spoil_q or not spoil_p:
+                q1[entry % dim] = value
+        return p1, q1, k
+
+    y0 = PhaseState(p=np.zeros(dim), q=np.zeros(dim))
+    stop, expected = _two_dot_reference(kernel, sys, 0.5, y0, n_steps, record_every)
+    if stop is None:
+        records = integrate(sys, kernel, cfg(0.5), y0, 0.5 * n_steps, record_every=record_every)
+    else:
+        with pytest.raises(SolverDivergenceError, match="non-finite") as info:
+            integrate(sys, kernel, cfg(0.5), y0, 0.5 * n_steps, record_every=record_every)
+        assert info.value.step_index == stop
+        records = info.value.records
+    assert_records_equal(records, expected)
+
+
+def test_a_finite_state_whose_dot_product_overflows_is_not_a_divergence():
+    big = np.array([1e200, 1e200])
+    sys = SeparableSystem(np.ones(2), lambda q: 0.0, lambda q: np.zeros(2))
+    for p_sign in (1.0, -1.0):  # p.q is inf, or inf - inf = nan
+
+        def kernel(sys, cfg, h, p, q, g=None):
+            return big * [1.0, p_sign], big.copy(), None
+
+        records = integrate(sys, kernel, cfg(0.1), PhaseState(p=np.zeros(2), q=np.zeros(2)), 0.3)
+        assert len(records) == 4 and np.array_equal(records.q[1:], np.tile(big, (3, 1)))
 
 
 def test_step_count_ceiling_is_a_contract_violation():
