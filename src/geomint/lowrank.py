@@ -41,7 +41,7 @@ import numpy as np
 
 from .densela import as_matrix, qr_thin, svd_full, truncated_svd
 from .errors import ContractViolationError, SolverDivergenceError
-from .symplectic import require_count, step_count
+from .symplectic import require_count, require_real, step_count
 
 _ORTHO_TOL = 1e-10
 
@@ -50,11 +50,11 @@ def _orthonormality_defect(w):
     """||W^T W - I||_F in ``np.linalg.norm``'s arithmetic: the Gram matrix
     with 1 taken off its diagonal in place, then the square root of the
     dot product of the raveled result with itself.  A Gram matrix that
-    overflows gives an inf or nan defect, without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = (w.T @ w).reshape(-1)
-        gram[:: w.shape[1] + 1] -= 1.0
-        return math.sqrt(gram.dot(gram))
+    overflows gives an inf or nan defect; the caller silences its
+    warnings (``errstate(over="ignore", invalid="ignore")``)."""
+    gram = (w.T @ w).reshape(-1)
+    gram[:: w.shape[1] + 1] -= 1.0
+    return math.sqrt(gram.dot(gram))
 
 
 @dataclass
@@ -79,12 +79,14 @@ class LowRankFactors:
             raise ContractViolationError(
                 f"inconsistent factor shapes u{u.shape}, s{s.shape}, v{v.shape}"
             )
-        for name, w in (("u", u), ("v", v)):
-            defect = _orthonormality_defect(w)
-            if not defect <= _ORTHO_TOL:
-                raise ContractViolationError(
-                    f"{name} columns are not orthonormal (defect {defect:.3e})"
-                )
+        # An overflowing Gram matrix is a refusal, not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, w in (("u", u), ("v", v)):
+                defect = _orthonormality_defect(w)
+                if not defect <= _ORTHO_TOL:
+                    raise ContractViolationError(
+                        f"{name} columns are not orthonormal (defect {defect:.3e})"
+                    )
         self.u, self.s, self.v = u, s, v
 
     @property
@@ -144,16 +146,21 @@ class MatrixFlow:
 
 
 def _rk4(f, t0, span, y0, substeps):
-    """Classical 4-stage order-4 method over [t0, t0 + span]."""
+    """Classical 4-stage order-4 method over [t0, t0 + span].
+
+    The stage weights are 0-d arrays, which multiply an array faster than
+    Python floats do and give the same bits."""
     h = span / substeps
+    half, step, sixth, two = np.array(0.5 * h), np.array(h), np.array(h / 6.0), np.array(2.0)
     t = t0
     y = y0
     for _ in range(substeps):
+        mid = t + 0.5 * h
         k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = f(mid, y + half * k1)
+        k3 = f(mid, y + half * k2)
+        k4 = f(t + h, y + step * k3)
+        y = y + sixth * (k1 + two * k2 + two * k3 + k4)
         t += h
     return y
 
@@ -167,10 +174,12 @@ def _check_columns(mat, substep):
         raise SolverDivergenceError(f"{substep} substep overflowed: its result is not finite")
 
 
-def _validate_step_args(flow, y, substeps):
+def _validate_step_args(flow, y, t, h, substeps):
     if y.shape != flow.shape:
         raise ContractViolationError(f"factors have shape {y.shape}, flow expects {flow.shape}")
     require_count("substeps", substeps)
+    require_real("t", t)
+    require_real("h", h, finite=True)
 
 
 def _subflow_solver(flow, t, span, substeps):
@@ -226,7 +235,7 @@ def _lsk(solve, y):
 
 def ksl_step(flow: MatrixFlow, y: LowRankFactors, t, h, substeps=10) -> LowRankFactors:
     """One splitting step of size h starting at time t (K, then S, then L)."""
-    _validate_step_args(flow, y, substeps)
+    _validate_step_args(flow, y, t, h, substeps)
     if h == 0.0:
         return LowRankFactors(u=y.u.copy(), s=y.s.copy(), v=y.v.copy())
     return _ksl(_subflow_solver(flow, t, h, substeps), y)
@@ -235,7 +244,7 @@ def ksl_step(flow: MatrixFlow, y: LowRankFactors, t, h, substeps=10) -> LowRankF
 def strang_step(flow: MatrixFlow, y: LowRankFactors, t, h, substeps=10) -> LowRankFactors:
     """Symmetrized splitting step: K,S,L over the first half step, then
     L,S,K over the second half.  One order higher than ksl_step."""
-    _validate_step_args(flow, y, substeps)
+    _validate_step_args(flow, y, t, h, substeps)
     if h == 0.0:
         return LowRankFactors(u=y.u.copy(), s=y.s.copy(), v=y.v.copy())
     half = 0.5 * h
@@ -270,7 +279,9 @@ def _record(flow, y, t):
     error = best = None
     if flow.exact_A is not None:
         a = flow.exact_A(t)
-        error = float(np.linalg.norm(to_full(y) - a))
+        # np.linalg.norm's arithmetic for a real matrix.
+        diff = (to_full(y) - a).ravel(order="K")
+        error = math.sqrt(diff.dot(diff))
         sig_a = flow.exact_sigma if flow.exact_sigma is not None else svd_full(a).sigma
         best = float(np.sqrt(np.sum(sig_a[y.rank:] ** 2)))
     return LowRankRecord(t=t, factors=y, sigma=sigma, curvature=curvature, error=error, best_error=best)
@@ -288,9 +299,11 @@ def integrate_lowrank(flow, y0, t0, t_end, h, method="ksl", substeps=10, record_
         stepper = _STEPPERS[method]
     except KeyError:
         raise ContractViolationError(f"method must be one of {sorted(_STEPPERS)}, got {method!r}") from None
+    require_real("t0", t0)
+    require_real("t_end", t_end)
     n_steps = step_count(h, t_end - t0)
     require_count("record_every", record_every)
-    _validate_step_args(flow, y0, substeps)
+    _validate_step_args(flow, y0, t0, h, substeps)
     y = y0
     records = [_record(flow, y, t0)]
     for k in range(1, n_steps + 1):
@@ -333,6 +346,8 @@ def integrate_naive_gauge(flow, y0, t0, t_end, h):
     Raises SolverDivergenceError on overflow or a singular core, which
     for ill-conditioned S is the expected outcome.
     """
+    require_real("t0", t0)
+    require_real("t_end", t_end)
     n_steps = step_count(h, t_end - t0)
     (m, n), r = y0.shape, y0.rank
     pack = lambda mats: np.concatenate([a.ravel() for a in mats])
@@ -404,8 +419,7 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
         raise ContractViolationError(f"rotating_flow needs m, n >= 2, got {m}x{n}")
     if r0 > min(m, n):
         raise ContractViolationError(f"{r0} diagonal values do not fit a {m}x{n} matrix")
-    if not np.isfinite(speed):
-        raise ContractViolationError(f"speed must be finite, got {speed}")
+    require_real("speed", speed, finite=True)
     d = np.zeros((m, n))
     d[:r0, :r0] = np.diag(d_vals)
     rng = np.random.default_rng(seed)

@@ -61,8 +61,7 @@ class StepperConfig:
     solver: str = "fixed-point"
 
     def __post_init__(self):
-        if not isinstance(self.step_size, Real) or not math.isfinite(self.step_size):
-            raise ContractViolationError(f"step_size must be a finite real, got {self.step_size!r}")
+        require_real("step_size", self.step_size, finite=True)
         object.__setattr__(self, "step_size", float(self.step_size))
         if self.solver not in _SOLVERS:
             raise ContractViolationError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
@@ -237,6 +236,14 @@ def step_count(h, span):
     if n_steps == 0 and span > 0.0:
         raise ContractViolationError(f"step size {h} too large for an interval of length {span}")
     return n_steps
+
+
+def require_real(name, value, finite=False):
+    """ContractViolationError unless ``value`` is a real number (a
+    ``numbers.Real``, as Python's and numpy's floats and integers are),
+    and a finite one if ``finite``."""
+    if not (isinstance(value, Real) and (not finite or math.isfinite(value))):
+        raise ContractViolationError(f"{name} must be a {'finite ' if finite else ''}real, got {value!r}")
 
 
 def require_count(name, value):

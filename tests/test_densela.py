@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from geomint import densela
 from geomint.densela import as_matrix, qr_thin, svd_full, truncated_svd
 from geomint.errors import ContractViolationError
 
@@ -65,6 +66,19 @@ def test_as_matrix_rejects_vectors():
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(ContractViolationError):
         as_matrix(np.array([[np.nan, 1.0], [0.0, 1.0]]), "x")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: svd_full("abc"),
+    lambda: qr_thin("abc"),
+    lambda: qr_thin([[1.0], [1.0, 2.0]]),  # ragged
+    lambda: truncated_svd([[1.0, "x"]], 1),
+    lambda: as_matrix({"a": 1.0}),  # numpy raises TypeError here, not ValueError
+    lambda: as_matrix(None),
+], ids=["svd-str", "qr-str", "qr-ragged", "truncated-mixed", "dict", "none"])
+def test_input_that_does_not_convert_to_a_float_matrix_is_a_contract_violation(call):
+    with pytest.raises(ContractViolationError):
+        call()
 
 
 # ------------------------------------------------------------------ thin QR
@@ -221,6 +235,29 @@ def test_qr_thin_matches_the_reference_conventions_bit_for_bit(a):
     assert not np.shares_memory(q, a) and not np.shares_memory(r, a)
 
 
+def failing_gufunc(*args, **kwargs):
+    """Stands in for a LAPACK gufunc that fails.  numpy's gufuncs report a
+    LAPACK failure by raising the floating-point invalid flag, which
+    ``errstate(invalid="call")`` turns into a call of the LinAlgError
+    call-back; the 0/0 here raises the same flag."""
+    np.divide(np.zeros(1), np.zeros(1))
+    return np.zeros((1, 1))
+
+
+@pytest.mark.parametrize("kernel, gufunc, numpy_call", [
+    (qr_thin, "qr_r_raw", np.linalg.qr),
+    (svd_full, "svd_s", lambda a: np.linalg.svd(a, full_matrices=False)),
+], ids=["qr", "svd"])
+def test_a_lapack_failure_is_numpys_linalgerror(monkeypatch, kernel, gufunc, numpy_call):
+    # numpy.linalg and densela call the same module's gufunc.
+    monkeypatch.setattr(densela._umath_linalg, gufunc, failing_gufunc)
+    with pytest.raises(np.linalg.LinAlgError) as ours:
+        kernel(np.eye(3))
+    with pytest.raises(np.linalg.LinAlgError) as numpys:
+        numpy_call(np.eye(3))
+    assert str(ours.value) == str(numpys.value)
+
+
 def test_qr_thin_factors_columns_whose_sum_of_squares_overflows():
     # Entries of about 1e160 are finite, but their squares are not.
     a = 1e160 * np.random.default_rng(0).standard_normal((12, 3))
@@ -315,6 +352,36 @@ def test_svd_full_properties_on_graded_matrices(a):
     assert np.linalg.norm(recon - a) <= PROPERTY_TOL * np.linalg.norm(a)
     ref = np.linalg.svd(a, compute_uv=False)
     assert np.max(np.abs(res.sigma - ref)) <= PROPERTY_TOL * ref[0]
+
+
+@st.composite
+def svd_inputs(draw):
+    """A graded, rank-deficient or zero matrix, tall, square, wide or 1x1,
+    stored in C or Fortran order."""
+    kind = draw(st.sampled_from(["graded", "zero", "one-by-one"]))
+    if kind == "graded":
+        a = draw(graded_matrices())
+        a = a.T if draw(st.booleans()) else a  # m < n as well as m >= n
+    elif kind == "zero":
+        a = np.zeros(draw(st.sampled_from(WORKLOAD_SHAPES + [(3, 8), (1, 5)])))
+    else:
+        a = np.array([[draw(st.floats(-1e6, 1e6, allow_nan=False))]])
+    return np.asfortranarray(a) if draw(st.booleans()) else np.ascontiguousarray(a)
+
+
+@given(a=svd_inputs())
+@example(a=np.zeros((1, 1)))
+@example(a=np.asfortranarray(np.ones((3, 8))))
+def test_svd_full_matches_numpy_svd_bit_for_bit(a):
+    before = a.copy(order="K")
+    res = svd_full(a)
+    u, s, vt = np.linalg.svd(before, full_matrices=False)
+    assert res.left.tobytes() == u.tobytes()
+    assert res.sigma.tobytes() == s.tobytes()
+    assert res.right.tobytes() == vt.T.tobytes()
+    # LAPACK works on its own copy: a is neither written nor aliased.
+    assert a.tobytes() == before.tobytes() and a.flags.f_contiguous == before.flags.f_contiguous
+    assert not any(np.shares_memory(out, a) for out in (res.left, res.sigma, res.right))
 
 
 def test_svd_transpose_has_same_spectrum():

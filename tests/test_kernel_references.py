@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomint import fdtools, models, symplectic
+from geomint import fdtools, lowrank, models, symplectic
 from geomint.errors import GeomintError, SolverDivergenceError
 from geomint.models import SeparableSystem
 from geomint.models.kleingordon import collocation_basis
@@ -70,6 +70,20 @@ def reference_newton(residual_fn, x0):
             raise SolverDivergenceError("singular", iterations=iteration, residual=residual) from None
         x = x - dx
     raise SolverDivergenceError("no convergence", iterations=SOLVER_MAX_ITER, residual=residual)
+
+
+def reference_rk4(f, t0, span, y0, substeps):
+    h = span / substeps
+    t = t0
+    y = y0
+    for _ in range(substeps):
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
+        k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return y
 
 
 def reference_explicit_euler(sys, cfg, h, p, q, g=None):
@@ -396,3 +410,24 @@ def test_central_jacobian_matches_its_reference_bit_for_bit(seed, scale, dim, st
     a, x = rng.standard_normal((dim + 1, dim)), scale * rng.standard_normal(dim)
     f = lambda x: np.sin(a @ x)  # noqa: E731
     assert same_bytes(fdtools.central_jacobian(f, x, step), reference_central_jacobian(f, x, step))
+
+
+@given(seed=seeds, scale=scales, zero_share=zero_shares, shape=st.sampled_from([(1,), (7,), (6, 2), (40, 8)]),
+       t0=st.floats(-10.0, 10.0), span=st.floats(-2.0, 2.0), substeps=st.integers(1, 10))
+def test_lowrank_rk4_matches_its_reference_bit_for_bit(seed, scale, zero_share, shape, t0, span, substeps):
+    # The low-rank subflows and the naive gauge contrast step with _rk4; the
+    # field sees every stage time, so the times must match as well.
+    rng = np.random.default_rng(seed)
+    y0 = vector(rng, math.prod(shape), scale, zero_share).reshape(shape)
+    a = rng.standard_normal(shape)
+
+    def traced(times):
+        def f(t, y):
+            times.append(t)
+            return math.cos(t) * a - y * np.tanh(y)
+        return f
+
+    times, reference_times = [], []
+    y = lowrank._rk4(traced(times), t0, span, y0, substeps)
+    assert same_bytes(y, reference_rk4(traced(reference_times), t0, span, y0, substeps))
+    assert np.array(times).tobytes() == np.array(reference_times).tobytes()

@@ -101,6 +101,34 @@ def test_an_overflowing_gram_matrix_is_refused_without_a_warning(monkeypatch):
         LowRankFactors(u=np.eye(2), s=np.eye(2), v=np.eye(2))
 
 
+_Q = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 2)))[0]
+_SKEW = np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]])
+_HUGE = np.array([[1e160, 1e160], [1e160, -1e160]])  # finite, with an overflowing Gram matrix
+
+
+@pytest.mark.parametrize("factors, message", [
+    ({"u": np.where(np.eye(5, 2) == 1.0, np.nan, _Q)}, "u contains non-finite entries"),
+    ({"s": np.array([[1.0, np.inf], [0.0, 1.0]])}, "s contains non-finite entries"),
+    ({"v": -np.inf * _Q}, "v contains non-finite entries"),
+    ({"u": _Q[:, 0]}, "u must be 2-dimensional, got shape (5,)"),
+    ({"s": np.ones((2, 2, 1))}, "s must be 2-dimensional, got shape (2, 2, 1)"),
+    ({"s": np.eye(3)}, "inconsistent factor shapes u(5, 2), s(3, 3), v(5, 2)"),
+    ({"v": np.eye(3)}, "inconsistent factor shapes u(5, 2), s(2, 2), v(3, 3)"),
+    ({"u": _SKEW}, "u columns are not orthonormal (defect 7.500e-01)"),
+    ({"v": _SKEW}, "v columns are not orthonormal (defect 7.500e-01)"),
+    ({"u": _HUGE}, "u columns are not orthonormal (defect inf)"),
+    ({"v": _HUGE}, "v columns are not orthonormal (defect inf)"),
+    ({"u": _HUGE, "v": _HUGE}, "u columns are not orthonormal (defect inf)"),
+    ({"v": np.array([[1e200, 0.0], [0.0, 1.0]])}, "v columns are not orthonormal (defect inf)"),
+])
+def test_factor_refusals_keep_their_order_and_messages(factors, message):
+    # The suite turns RuntimeWarnings into errors, so an overflow that
+    # warned would fail here instead of being refused.
+    with pytest.raises(ContractViolationError) as info:
+        LowRankFactors(**{"u": _Q, "s": np.eye(2), "v": _Q, **factors})
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("name", ["u", "v"])
 def test_a_defect_just_above_the_tolerance_is_refused_with_its_value(name):
     # c * Q has W^T W - I = (c^2 - 1) I, a defect of (c^2 - 1) * sqrt(r).
@@ -147,6 +175,11 @@ def test_projection_is_idempotent_and_self_adjoint():
 def test_projection_dimension_mismatch():
     with pytest.raises(ContractViolationError):
         tangent_project(rank_one_2x2(), np.zeros((3, 3)))
+
+
+def test_projection_of_a_non_matrix_is_a_contract_violation():
+    with pytest.raises(ContractViolationError, match="z does not convert"):
+        tangent_project(rank_one_2x2(), "x")
 
 
 def test_record_curvature_values():
@@ -510,6 +543,23 @@ def test_rotating_flow_rejects_a_dimension_below_two(m, n):
         rotating_flow([1.0], m=m, n=n)
 
 
+@pytest.mark.parametrize("speed", ["1", None, 1j, np.array(1.0), float("nan"), float("inf")])
+def test_rotating_flow_rejects_a_speed_that_is_not_a_finite_real(speed):
+    with pytest.raises(ContractViolationError, match="speed must be a finite real"):
+        rotating_flow([1.0, 0.5], m=4, n=3, speed=speed)
+
+
+@settings(max_examples=40)
+@given(args=rotating_flow_args(), t=st.floats(-5.0, 5.0, allow_nan=False),
+       method=st.sampled_from(sorted(lowrank._STEPPERS)), y_dependent=st.booleans())
+def test_record_error_is_numpys_frobenius_norm_bit_for_bit(args, t, method, y_dependent):
+    diag, m, n, rank, seed, speed = args
+    flow = rotating_flow(diag, m=m, n=n, seed=seed, y_dependent=y_dependent, speed=speed)
+    y = lowrank._STEPPERS[method](flow, factorize(flow.exact_A(0.0), rank), 0.0, 0.05, substeps=2)
+    error = lowrank._record(flow, y, t).error
+    assert np.float64(error).tobytes() == np.linalg.norm(to_full(y) - flow.exact_A(t)).tobytes()
+
+
 @settings(max_examples=40)
 @given(args=rotating_flow_args(), t=st.floats(-5.0, 5.0, allow_nan=False))
 def test_known_spectrum_gives_the_svd_best_error(args, t):
@@ -565,6 +615,37 @@ def test_gauge_integration_refuses_a_step_longer_than_the_interval():
         integrate_naive_gauge(flow, y0, 0.0, 1.0, 10.0)
     # An empty interval is not an error: the result is the initial matrix.
     assert np.array_equal(integrate_naive_gauge(flow, y0, 1.0, 1.0, 10.0), to_full(y0))
+
+
+@pytest.mark.parametrize("bad", ["1.0", None, 1j, np.array(0.0)], ids=["str", "none", "complex", "0-d"])
+@pytest.mark.parametrize("run", [integrate_lowrank, integrate_naive_gauge])
+def test_times_that_are_not_real_are_refused_before_any_arithmetic(run, bad):
+    flow = rotating_flow([1.0, 0.5], m=4, n=3, seed=2)
+    y0 = factorize(flow.exact_A(0.0), 2)
+    with pytest.raises(ContractViolationError, match="t_end must be a real"):
+        run(flow, y0, 0.0, bad, 0.1)
+    with pytest.raises(ContractViolationError, match="t0 must be a real"):
+        run(flow, y0, bad, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("t, h, message", [
+    ("0", 0.1, "t must be a real"),
+    (None, 0.1, "t must be a real"),
+    (0.0, "0.1", "h must be a finite real"),
+    (0.0, None, "h must be a finite real"),
+    (0.0, float("nan"), "h must be a finite real"),
+    (0.0, float("inf"), "h must be a finite real"),
+    (0.0, -float("inf"), "h must be a finite real"),
+])
+@pytest.mark.parametrize("step", [ksl_step, strang_step])
+@pytest.mark.parametrize("y_dependent", [True, False])
+def test_a_step_at_a_bad_time_or_step_size_is_a_contract_violation(step, y_dependent, t, h, message):
+    # A non-finite h is a caller's mistake, as StepperConfig has it, not
+    # a divergence of the step.
+    flow = rotating_flow([1.0, 0.5], m=4, n=3, seed=2, y_dependent=y_dependent)
+    y = factorize(flow.exact_A(0.0), 2)
+    with pytest.raises(ContractViolationError, match=message):
+        step(flow, y, t, h)
 
 
 @pytest.mark.parametrize("h", ["0.1", None, 1j], ids=["str", "none", "complex"])
