@@ -17,11 +17,9 @@ and by diagnostics:
   benchmarks are read from ``exact_sigma`` or the start's ``d_vals``,
   never from an SVD.  ``factorize`` truncates either a diagonal matrix
   (factored exactly) or the exact start of the exactness flows, whose
-  retained singular values are all at least 0.25; the singular values of
-  S that each record takes feed only the ``sigma`` and ``curvature``
-  diagnostics, which no CSV column reads; and a record takes the SVD of
-  ``exact_A(t)`` only for a flow without ``exact_sigma``, which every flow
-  ``rotating_flow`` builds has.
+  retained singular values are all at least 0.25; and a record takes the
+  SVD of ``exact_A(t)`` only for a flow without ``exact_sigma``, which
+  every flow ``rotating_flow`` builds has.
 
 Both call numpy's compiled LAPACK gufuncs (``numpy.linalg._umath_linalg``:
 ``qr_r_raw`` and ``qr_reduced``, ``svd_s``) directly, with the signatures,
@@ -52,8 +50,10 @@ _EPS = np.finfo(float).eps
 
 
 def as_matrix(a, name="a"):
-    """Validate and return ``a`` as a 2-d float array with finite entries."""
+    """Validate and return real ``a`` as a 2-d float array with finite entries."""
     try:
+        if np.iscomplexobj(a):  # the conversion would drop the imaginary part
+            raise ContractViolationError(f"{name} is complex; a real matrix is needed")
         arr = np.asarray(a, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ContractViolationError(f"{name} does not convert to a float array: {exc}") from None

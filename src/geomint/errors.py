@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types and argument rules shared across the package.
 
 The command line harness maps these onto process exit codes, so the
 hierarchy matters: anything that is the caller's fault (bad arguments,
@@ -8,6 +8,9 @@ that does not converge, a step that overflows) is a SolverDivergenceError.
 A low-rank run whose factors lose rank is neither: the splitting
 integrator carries a singular core on.
 """
+
+import math
+from numbers import Integral, Real
 
 
 class GeomintError(Exception):
@@ -53,3 +56,18 @@ class SolverDivergenceError(GeomintError):
         self.iterations = iterations
         self.residual = residual
         self.step_index = step_index
+
+
+def require_real(name, value, finite=False):
+    """``value`` as a float; ContractViolationError unless it is a real number
+    (a ``numbers.Real``: Python's and numpy's floats and ints), finite if ``finite``."""
+    if not (isinstance(value, Real) and (not finite or math.isfinite(value))):
+        raise ContractViolationError(f"{name} must be a {'finite ' if finite else ''}real, got {value!r}")
+    return float(value)
+
+
+def require_count(name, value):
+    """``value`` as an int; ContractViolationError unless it is a ``numbers.Integral`` >= 1."""
+    if not isinstance(value, Integral) or value < 1:
+        raise ContractViolationError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)

@@ -56,9 +56,9 @@ def lowrank_final(t_end, seed):
     y0 = lowrank.factorize(np.diag(d_vals), 4)
 
     def final(method, h):
-        records = lowrank.integrate_lowrank(flow, y0, 0.0, t_end, h, method=method,
-                                            record_every=max(1, symplectic.step_count(h, t_end)))
-        return lowrank.to_full(records[-1].factors)
+        run = lowrank.integrate_lowrank(flow, y0, 0.0, t_end, h, method=method,
+                                        record_every=max(1, symplectic.step_count(h, t_end)))
+        return lowrank.to_full(run.factors)
 
     return final
 

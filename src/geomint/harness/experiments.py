@@ -239,25 +239,23 @@ def mode_decay_slope(table: SeriesTable, row_index, j_min=2, j_max=10) -> float:
 
 
 def _run_lowrank_exactness(cfg: ExperimentConfig) -> ExperimentResult:
-    runs, summaries = {}, []
-    for label, diag in (("rank1", [1.0]), ("rank3", [1.0, 0.5, 0.25])):
+    runs = []
+    for diag in ([1.0], [1.0, 0.5, 0.25]):
         flow = lowrank.rotating_flow(diag, m=12, n=10, seed=cfg.seed, y_dependent=False)
         y0 = lowrank.factorize(flow.exact_A(0.0), len(diag))
-        runs[label], run_summary, _ = _until_divergence(
+        runs.append(_until_divergence(
             cfg, lowrank.integrate_lowrank, flow, y0, 0.0, cfg.t_end, cfg.h, method=cfg.method,
-            record_every=cfg.record_every)
-        summaries.append(run_summary)
+            record_every=cfg.record_every))
+    (rank1, summary1, _), (rank3, summary3, _) = runs
     # The first divergence, if any; the table's rows stop with the shorter run.
-    summary = min(summaries, key=lambda run_summary: run_summary["steps"])
+    summary = min(summary1, summary3, key=lambda run_summary: run_summary["steps"])
+    n = min(rank1.t.size, rank3.t.size)
     table = SeriesTable(["t", "error_rank1", "best_rank1", "error_rank3", "best_rank3"],
-                        [[rec1.t, rec1.error, rec1.best_error, rec3.error, rec3.best_error]
-                         for rec1, rec3 in zip(runs["rank1"], runs["rank3"])])
-    summary.update({
-        "final_error_rank1": runs["rank1"][-1].error,
-        "final_error_rank3": runs["rank3"][-1].error,
-        "headline": (f"final_error_rank1={runs['rank1'][-1].error:.3g} "
-                     f"final_error_rank3={runs['rank3'][-1].error:.3g}"),
-    })
+                        np.column_stack([column[:n] for column in (
+                            rank1.t, rank1.error, rank1.best_error, rank3.error, rank3.best_error)]))
+    final1, final3 = float(rank1.error[-1]), float(rank3.error[-1])
+    summary.update(final_error_rank1=final1, final_error_rank3=final3,
+                   headline=f"final_error_rank1={final1:.3g} final_error_rank3={final3:.3g}")
     return ExperimentResult(table, summary, "diverged_at_step" in summary)
 
 
@@ -303,7 +301,7 @@ def _run_lowrank_robustness(cfg: ExperimentConfig) -> ExperimentResult:
             ksl_error = lowrank.integrate_lowrank(
                 flow, y0, 0.0, t_end, h, method=cfg.method,
                 record_every=max(1, symplectic.step_count(h, t_end)),
-            )[-1].error
+            ).error[-1]
         except SolverDivergenceError:
             ksl_error = np.inf
         best = float(np.sqrt(np.sum(d_vals[rank:] ** 2)))

@@ -40,8 +40,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .densela import as_matrix, qr_thin, svd_full, truncated_svd
-from .errors import ContractViolationError, SolverDivergenceError
-from .symplectic import require_count, require_real, step_count
+from .errors import ContractViolationError, SolverDivergenceError, require_count, require_real
+from .symplectic import step_count
 
 _ORTHO_TOL = 1e-10
 
@@ -128,7 +128,8 @@ class MatrixFlow:
     """Right-hand side F of dY/dt = F(t, Y) plus optional exact solution.
 
     ``eval_F(t, y_full) -> array`` of the same shape.  ``exact_A(t)``, if
-    given, returns the exact solution matrix for error measurement.
+    given, returns the exact solution matrix, against which a run's
+    records measure their error and best rank-r error (nan without it).
     ``exact_sigma``, if given, holds the singular values of ``exact_A(t)``
     in descending order, all min(m, n) of them; it is only valid for a
     family whose spectrum is the same for every t, and lets records skip
@@ -255,45 +256,40 @@ def strang_step(flow: MatrixFlow, y: LowRankFactors, t, h, substeps=10) -> LowRa
 _STEPPERS = {"ksl": ksl_step, "ksl-strang": strang_step}
 
 
-@dataclass
-class LowRankRecord:
-    """Snapshot along a rank-constrained run."""
+@dataclass(frozen=True)
+class LowRankRun:
+    """A rank-constrained run: (n,) arrays of the record times ``t``, errors
+    ||Y - A(t)||_F and best rank-r errors of A(t) (nan without ``exact_A``),
+    one row per record, and the ``factors`` of the last step taken."""
 
-    t: float
+    t: np.ndarray
+    error: np.ndarray
+    best_error: np.ndarray
     factors: LowRankFactors
-    sigma: np.ndarray  # singular values of s, descending
-    curvature: float  # 1 / sigma_min (inf if exactly singular)
-    error: Optional[float]  # ||to_full - exact_A(t)||_F, if exact_A known
-    best_error: Optional[float]  # rank-r truncation error of exact_A(t)
 
 
 def _record(flow, y, t):
-    """Snapshot of ``y`` at time t.
+    """(error, best error) of ``y`` at time t; (nan, nan) without ``exact_A``.
 
     The best-approximation error comes from ``flow.exact_sigma`` when the
     flow knows its spectrum, and from an SVD of ``exact_A(t)`` otherwise.
     """
-    sigma = svd_full(y.s).sigma
-    smin = float(sigma[-1])
-    curvature = np.inf if smin == 0.0 else 1.0 / smin
-    error = best = None
-    if flow.exact_A is not None:
-        a = flow.exact_A(t)
-        # np.linalg.norm's arithmetic for a real matrix.
-        diff = (to_full(y) - a).ravel(order="K")
-        error = math.sqrt(diff.dot(diff))
-        sig_a = flow.exact_sigma if flow.exact_sigma is not None else svd_full(a).sigma
-        best = float(np.sqrt(np.sum(sig_a[y.rank:] ** 2)))
-    return LowRankRecord(t=t, factors=y, sigma=sigma, curvature=curvature, error=error, best_error=best)
+    if flow.exact_A is None:
+        return math.nan, math.nan
+    a = flow.exact_A(t)
+    # np.linalg.norm's arithmetic for a real matrix.
+    diff = (to_full(y) - a).ravel(order="K")
+    sig_a = flow.exact_sigma if flow.exact_sigma is not None else svd_full(a).sigma
+    return math.sqrt(diff.dot(diff)), float(np.sqrt(np.sum(sig_a[y.rank:] ** 2)))
 
 
-def integrate_lowrank(flow, y0, t0, t_end, h, method="ksl", substeps=10, record_every=1):
-    """Fixed-step rank-constrained run; returns a list of LowRankRecord.
+def integrate_lowrank(flow, y0, t0, t_end, h, method="ksl", substeps=10, record_every=1) -> LowRankRun:
+    """Fixed-step rank-constrained run of step_count(h, t_end - t0) steps.
 
-    step_count(h, t_end - t0) steps; the initial and final states are
-    always recorded.  t_end == t0 yields the single initial record.  If
-    step k overflows, the raised SolverDivergenceError carries
-    ``step_index = k`` and the records collected so far in ``records``.
+    Records step k at t0 + k * h every ``record_every`` steps, and always
+    the initial and final states.  If step k overflows, the raised
+    SolverDivergenceError carries ``step_index = k`` and, in ``records``,
+    the run cut to the rows before step k, ending at step k - 1's factors.
     """
     try:
         stepper = _STEPPERS[method]
@@ -305,17 +301,18 @@ def integrate_lowrank(flow, y0, t0, t_end, h, method="ksl", substeps=10, record_
     require_count("record_every", record_every)
     _validate_step_args(flow, y0, t0, h, substeps)
     y = y0
-    records = [_record(flow, y, t0)]
+    rows = [(t0, *_record(flow, y, t0))]  # (t, error, best error)
     for k in range(1, n_steps + 1):
         try:
             y = stepper(flow, y, t0 + (k - 1) * h, h, substeps=substeps)
         except SolverDivergenceError as exc:
             exc.step_index = k
-            exc.records = records
+            exc.records = LowRankRun(*np.array(rows).T, y)
             raise
         if k % record_every == 0 or k == n_steps:
-            records.append(_record(flow, y, t0 + k * h))
-    return records
+            t = t0 + k * h
+            rows.append((t, *_record(flow, y, t)))
+    return LowRankRun(*np.array(rows).T, y)
 
 
 def naive_gauge_rhs(flow, t, u, s, v):
@@ -413,8 +410,8 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
     """
     d_vals = np.asarray(diag_values, dtype=float)
     r0 = d_vals.size
-    m = int(m) if m is not None else r0
-    n = int(n) if n is not None else r0
+    m = require_count("m", r0 if m is None else m)
+    n = require_count("n", r0 if n is None else n)
     if min(m, n) < 2:
         raise ContractViolationError(f"rotating_flow needs m, n >= 2, got {m}x{n}")
     if r0 > min(m, n):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ContractViolationError
+from ..errors import ContractViolationError, require_count, require_real
 from .state import PhaseState
 from .systems import OscillatorySystem
 
@@ -44,9 +44,9 @@ def make_fpu_chain(m, omega):
     starts at rest.  ``m`` is at most 100: the resonance screen's
     coefficient array grows like m**3 (about 1 GB at m = 400).
     """
-    m = int(m)
-    omega = float(omega)
-    if m < 1 or m > 100:
+    m = require_count("m", m)
+    omega = require_real("omega", omega)
+    if m > 100:
         raise ContractViolationError(f"m must be in [1, 100], got {m}")
     if omega < 10.0:
         # The scaled variables assume a clear fast/slow separation.

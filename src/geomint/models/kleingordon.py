@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ContractViolationError
+from ..errors import ContractViolationError, require_count, require_real
 from .state import PhaseState
 from .systems import OscillatorySystem
 
@@ -53,9 +53,9 @@ def make_klein_gordon(K, rho, eps):
     transform cheap); ``rho > 0``: mass parameter; ``eps``: the initial
     data excite only the modes with |j| = 1, with mode energy eps^2.
     """
-    K = int(K)
-    rho = float(rho)
-    eps = float(eps)
+    K = require_count("K", K)
+    rho = require_real("rho", rho)
+    eps = require_real("eps", eps)
     if K < 4 or K > 64:
         raise ContractViolationError(f"K must be in [4, 64], got {K}")
     if rho <= 0.0:

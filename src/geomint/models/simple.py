@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..errors import ContractViolationError
+from ..errors import ContractViolationError, require_real
 from .state import PhaseState
 from .systems import SeparableSystem
 
@@ -49,7 +49,7 @@ def make_kepler(eccentricity):
     perihelion with energy H = -1/2 and angular momentum sqrt(1 - e^2)
     for every eccentricity 0 <= e < 1.
     """
-    e = float(eccentricity)
+    e = require_real("eccentricity", eccentricity)
     if not 0.0 <= e < 1.0:
         raise ContractViolationError(f"eccentricity must be in [0, 1), got {e}")
     sys = SeparableSystem(

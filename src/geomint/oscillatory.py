@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ContractViolationError, InadmissibleStepError, ResonantStepError,
-                     SolverDivergenceError)
+                     SolverDivergenceError, require_real)
 from .models.state import Trajectory
 from .models.systems import OscillatorySystem
 from .models.systems import oscillatory_energies  # noqa: F401 -- perfbench's tracer patches this name
@@ -283,7 +283,7 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
     index array whose rows a < b index ``sum_coefficients`` and
     ``sum_values``.
     """
-    h = float(h)
+    h = require_real("h", h)
     if h <= 0.0 or not np.isfinite(h):
         raise ContractViolationError(f"h must be positive and finite, got {h}")
     if not isinstance(n_sum_terms, (int, np.integer)) or n_sum_terms < 0:

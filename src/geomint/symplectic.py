@@ -29,7 +29,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ContractViolationError, SolverDivergenceError
+from .errors import ContractViolationError, SolverDivergenceError, require_count, require_real
 from .fdtools import central_jacobian
 from .models.state import PhaseState, Trajectory
 from .models.systems import SeparableSystem
@@ -61,8 +61,7 @@ class StepperConfig:
     solver: str = "fixed-point"
 
     def __post_init__(self):
-        require_real("step_size", self.step_size, finite=True)
-        object.__setattr__(self, "step_size", float(self.step_size))
+        object.__setattr__(self, "step_size", require_real("step_size", self.step_size, finite=True))
         if self.solver not in _SOLVERS:
             raise ContractViolationError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
 
@@ -236,20 +235,6 @@ def step_count(h, span):
     if n_steps == 0 and span > 0.0:
         raise ContractViolationError(f"step size {h} too large for an interval of length {span}")
     return n_steps
-
-
-def require_real(name, value, finite=False):
-    """ContractViolationError unless ``value`` is a real number (a
-    ``numbers.Real``, as Python's and numpy's floats and integers are),
-    and a finite one if ``finite``."""
-    if not (isinstance(value, Real) and (not finite or math.isfinite(value))):
-        raise ContractViolationError(f"{name} must be a {'finite ' if finite else ''}real, got {value!r}")
-
-
-def require_count(name, value):
-    """ContractViolationError unless ``value`` is an int or np.integer >= 1."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ContractViolationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end,

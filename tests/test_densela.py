@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from geomint import densela
 from geomint.densela import as_matrix, qr_thin, svd_full, truncated_svd
 from geomint.errors import ContractViolationError
+from geomint.lowrank import LowRankFactors
 
 # The shapes the low-rank workloads factor: K = U S and L = V S^T (40x8,
-# 12x4, 12x3), the 40x40 and 12x10 matrices behind the exact errors, and
-# the r x r coefficient matrices S of ranks 1, 3, 4 and 8.
+# 12x4, 12x3) and the 40x40 and 12x10 matrices behind the exact errors,
+# plus square matrices of the retained ranks 1, 3, 4 and 8.
 WORKLOAD_SHAPES = [(40, 8), (12, 4), (12, 3), (40, 40), (12, 10), (1, 1), (3, 3), (4, 4), (8, 8)]
 
 # Tolerance of the properties below, about twenty times the worst error
@@ -78,6 +79,19 @@ def test_as_matrix_rejects_non_finite():
 ], ids=["svd-str", "qr-str", "qr-ragged", "truncated-mixed", "dict", "none"])
 def test_input_that_does_not_convert_to_a_float_matrix_is_a_contract_violation(call):
     with pytest.raises(ContractViolationError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qr_thin(1j * np.eye(2)),
+    lambda: svd_full(np.eye(2) + 0j),  # a zero imaginary part is still complex
+    lambda: as_matrix([[1.0, 2j]]),
+    lambda: LowRankFactors(u=np.eye(2), s=np.eye(2, dtype=complex), v=np.eye(2)),
+], ids=["qr", "svd", "list", "factors"])
+def test_complex_input_is_a_contract_violation(call):
+    # Converting it to float would drop the imaginary part with a
+    # ComplexWarning (an error under this suite's RuntimeWarning filter).
+    with pytest.raises(ContractViolationError, match="is complex"):
         call()
 
 

@@ -182,21 +182,6 @@ def test_projection_of_a_non_matrix_is_a_contract_violation():
         tangent_project(rank_one_2x2(), "x")
 
 
-def test_record_curvature_values():
-    # curvature = 1 / sigma_min(s), read from a one-record run.
-    flow = MatrixFlow(shape=(2, 2), eval_F=lambda t, z: np.zeros((2, 2)))
-
-    def curvature(s):
-        (record,) = integrate_lowrank(flow, LowRankFactors(u=np.eye(2), s=s, v=np.eye(2)),
-                                      0.0, 0.0, 0.1)
-        return record.curvature
-
-    assert curvature(np.diag([2.0, 0.5])) == pytest.approx(2.0)
-    assert curvature(np.eye(2)) == pytest.approx(1.0)
-    assert curvature(np.diag([1.0, 1e-12])) == pytest.approx(1e12, rel=1e-6)
-    assert curvature(np.diag([1.0, 0.0])) == np.inf
-
-
 # ------------------------------------------------------------- splitting step
 
 
@@ -261,9 +246,9 @@ def test_over_approximated_ranks_stay_exact(method, y_dependent):
         flow = rotating_flow(diag, m=12, n=10, seed=3, y_dependent=y_dependent)
         for r in range(max(2, len(diag)), 7):
             y0 = factorize(flow.exact_A(0.0), r)
-            records = integrate_lowrank(flow, y0, 0.0, 1.0, 0.05, method=method)
-            assert len(records) == 21
-            assert max(rec.error for rec in records) <= 1e-10, (diag, r)
+            run = integrate_lowrank(flow, y0, 0.0, 1.0, 0.05, method=method)
+            assert run.t.size == 21
+            assert run.error.max() <= 1e-10, (diag, r)
 
 
 def test_step_argument_validation():
@@ -297,9 +282,9 @@ def test_step_halving_shows_first_and_second_order():
     y0 = factorize(np.random.default_rng(5).standard_normal((6, 5)), 2)
 
     def final(method, h):
-        recs = integrate_lowrank(flow, y0, 0.0, 1.0, h, method=method,
-                                 substeps=40, record_every=10**9)
-        return to_full(recs[-1].factors)
+        run = integrate_lowrank(flow, y0, 0.0, 1.0, h, method=method,
+                                substeps=40, record_every=10**9)
+        return to_full(run.factors)
 
     for method, lo, hi in (("ksl", 1.7, 2.3), ("ksl-strang", 3.4, 4.8)):
         ref = final(method, 1.0 / 1024)
@@ -343,22 +328,19 @@ def test_no_core_inversion_on_the_splitting_path(monkeypatch):
 def test_exact_family_stays_exact_at_every_record():
     flow = rotating_flow([1.0, 0.5, 0.25], m=6, n=5, seed=1, y_dependent=False)
     y0 = factorize(flow.exact_A(0.0), 3)
-    records = integrate_lowrank(flow, y0, 0.0, 1.0, 0.05)
-    assert len(records) == 21
-    for rec in records:
-        assert rec.error <= 1e-10
-        assert np.all(np.diff(rec.sigma) <= 0.0)
-        assert rec.curvature == pytest.approx(1.0 / rec.sigma[-1], rel=1e-12)
+    run = integrate_lowrank(flow, y0, 0.0, 1.0, 0.05)
+    assert run.t.size == 21
+    assert np.all(run.error <= 1e-10)
 
 
 def test_zero_length_run_records_initial_state():
     flow = forced_flow()
     y0 = factorize(np.random.default_rng(2).standard_normal((6, 5)), 2)
-    records = integrate_lowrank(flow, y0, 3.0, 3.0, 0.1)
-    assert len(records) == 1
-    assert records[0].t == 3.0
-    assert np.array_equal(to_full(records[0].factors), to_full(y0))
-    assert records[0].error is None and records[0].best_error is None
+    run = integrate_lowrank(flow, y0, 3.0, 3.0, 0.1)
+    assert run.t.tolist() == [3.0]
+    assert run.factors is y0
+    # The flow has no exact_A: no error is measured.
+    assert np.isnan(run.error).all() and np.isnan(run.best_error).all()
 
 
 def test_full_rank_run_matches_dense_reference():
@@ -368,8 +350,8 @@ def test_full_rank_run_matches_dense_reference():
     a0 = rng.standard_normal((5, 5))
     flow = MatrixFlow(shape=(5, 5), eval_F=lambda t, z: w @ z)
     y0 = factorize(a0, 5)
-    records = integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, substeps=20, record_every=10**9)
-    ours = to_full(records[-1].factors)
+    run = integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, substeps=20, record_every=10**9)
+    ours = to_full(run.factors)
 
     dense = a0.copy()
     n_sub = 200
@@ -392,7 +374,49 @@ def test_overflow_is_a_divergence_with_partial_records():
         integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, substeps=1)
     assert type(info.value) is SolverDivergenceError
     assert info.value.step_index == 1
-    assert len(info.value.records) == 1
+    assert info.value.records.t.size == 1
+
+
+@settings(max_examples=30)
+@given(t0=st.floats(-5.0, 5.0), h=st.floats(0.01, 0.2), n_steps=st.integers(0, 12),
+       record_every=st.integers(1, 5), method=st.sampled_from(sorted(lowrank._STEPPERS)),
+       blow_up=st.integers(1, 12))
+def test_run_columns_are_a_plain_loop_of_the_steppers(t0, h, n_steps, record_every, method,
+                                                      blow_up):
+    flow = rotating_flow([1.0, 0.5, 0.25], m=6, n=5, seed=7, y_dependent=False, speed=3.0)
+    y0 = factorize(flow.exact_A(t0), 2)
+    t_end = t0 + n_steps * h
+    # The loop the run replaces: every step, and a record after every
+    # record_every-th one and the last.
+    states, steps, times, errors = [y0], [0], [t0], [np.linalg.norm(to_full(y0) - flow.exact_A(t0))]
+    for k in range(1, n_steps + 1):
+        states.append(lowrank._STEPPERS[method](flow, states[-1], t0 + (k - 1) * h, h))
+        if k % record_every == 0 or k == n_steps:
+            t = t0 + k * h
+            steps.append(k)
+            times.append(t)
+            errors.append(np.linalg.norm(to_full(states[-1]) - flow.exact_A(t)))
+    run = integrate_lowrank(flow, y0, t0, t_end, h, method=method, record_every=record_every)
+    assert run.t.tobytes() == np.array(times).tobytes()
+    assert run.error.tobytes() == np.array(errors).tobytes()
+    assert run.best_error.tolist() == [0.25] * len(times)
+    assert np.array_equal(to_full(run.factors), to_full(states[-1]))
+    if blow_up > n_steps:
+        return
+    # From step blow_up on, the increment is nan, as rotating_flow's is once
+    # a phase t * theta overflows.
+    start = t0 + (blow_up - 1.25) * h  # between Strang's half steps of steps blow_up - 1 and blow_up
+    increment = lambda t, span: flow.increment(t, span) if t < start else np.full(flow.shape, np.nan)
+    with pytest.raises(SolverDivergenceError) as info:
+        integrate_lowrank(replace(flow, increment=increment), y0, t0, t_end, h, method=method,
+                          record_every=record_every)
+    assert info.value.step_index == blow_up
+    prefix = info.value.records
+    rows = sum(k < blow_up for k in steps)
+    assert prefix.t.tobytes() == run.t[:rows].tobytes()
+    assert prefix.error.tobytes() == run.error[:rows].tobytes()
+    assert prefix.best_error.tobytes() == run.best_error[:rows].tobytes()
+    assert np.array_equal(to_full(prefix.factors), to_full(states[blow_up - 1]))
 
 
 @pytest.mark.parametrize("increment", [True, False])
@@ -417,7 +441,7 @@ def test_finite_entries_with_an_overflowing_column_norm_are_a_divergence(substep
             integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, substeps=1)
     assert type(info.value) is SolverDivergenceError
     assert info.value.step_index == 1
-    assert len(info.value.records) == 1
+    assert info.value.records.t.size == 1
 
 
 def test_integrate_validations():
@@ -441,8 +465,8 @@ def test_record_every_that_is_not_an_integer_is_refused(record_every):
     y0 = factorize(np.random.default_rng(2).standard_normal((6, 5)), 2)
     with pytest.raises(ContractViolationError, match="record_every must be an integer >= 1"):
         integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, record_every=record_every)
-    records = integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, record_every=np.int64(2))
-    assert [rec.t for rec in records] == pytest.approx([0.2 * k for k in range(6)])
+    run = integrate_lowrank(flow, y0, 0.0, 1.0, 0.1, record_every=np.int64(2))
+    assert run.t == pytest.approx([0.2 * k for k in range(6)])
 
 
 # ------------------------------------------------------------- rotating flow
@@ -556,7 +580,7 @@ def test_record_error_is_numpys_frobenius_norm_bit_for_bit(args, t, method, y_de
     diag, m, n, rank, seed, speed = args
     flow = rotating_flow(diag, m=m, n=n, seed=seed, y_dependent=y_dependent, speed=speed)
     y = lowrank._STEPPERS[method](flow, factorize(flow.exact_A(0.0), rank), 0.0, 0.05, substeps=2)
-    error = lowrank._record(flow, y, t).error
+    error, _ = lowrank._record(flow, y, t)
     assert np.float64(error).tobytes() == np.linalg.norm(to_full(y) - flow.exact_A(t)).tobytes()
 
 
@@ -566,8 +590,8 @@ def test_known_spectrum_gives_the_svd_best_error(args, t):
     diag, m, n, rank, seed, speed = args
     flow = rotating_flow(diag, m=m, n=n, seed=seed, y_dependent=False, speed=speed)
     y = factorize(flow.exact_A(t), rank)
-    known = lowrank._record(flow, y, t).best_error
-    from_svd = lowrank._record(replace(flow, exact_sigma=None), y, t).best_error
+    _, known = lowrank._record(flow, y, t)
+    _, from_svd = lowrank._record(replace(flow, exact_sigma=None), y, t)
     assert abs(known - from_svd) <= 1e-12 * np.linalg.norm(diag)
 
 

@@ -9,8 +9,9 @@ from conftest import (
     kepler_test_states,
     random_states,
 )
-from geomint import models
+from geomint import models, oscillatory
 from geomint.errors import ContractViolationError
+from geomint.lowrank import rotating_flow
 from geomint.models import PhaseState
 
 
@@ -274,3 +275,36 @@ def test_inverse_masses_must_be_a_positive_finite_vector(inverse_masses):
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_gradients_match_finite_differences(name, sys, states):
     assert gradient_max_relerr(sys, states) <= 1e-5
+
+
+# ------------------------------------------------- argument types, library-wide
+
+# One argument of a builder per entry: the others keep valid values.
+_BUILDERS = {
+    "make_kepler(eccentricity)": lambda v: models.make_kepler(v),
+    "make_fpu_chain(m)": lambda v: models.make_fpu_chain(v, 50.0),
+    "make_fpu_chain(omega)": lambda v: models.make_fpu_chain(3, v),
+    "make_klein_gordon(K)": lambda v: models.make_klein_gordon(v, 0.5, 0.1),
+    "make_klein_gordon(rho)": lambda v: models.make_klein_gordon(4, v, 0.1),
+    "make_klein_gordon(eps)": lambda v: models.make_klein_gordon(4, 0.5, v),
+    "resonance_report(h)": lambda v: oscillatory.resonance_report(
+        models.make_fpu_chain(3, 50.0)[0], v),
+    "rotating_flow(m)": lambda v: rotating_flow([1.0, 0.5], m=v, n=3),
+    "rotating_flow(n)": lambda v: rotating_flow([1.0, 0.5], m=3, n=v),
+}
+# The valid values among those tried: None is rotating_flow's default size
+# (the number of diagonal values), and 2.5 is a valid rho and step size.
+_VALID = {("rotating_flow(m)", None), ("rotating_flow(n)", None),
+          ("make_klein_gordon(rho)", 2.5), ("resonance_report(h)", 2.5)}
+
+
+@pytest.mark.parametrize("value", ["3", None, 2.5, 1j], ids=["str", "none", "2.5", "complex"])
+@pytest.mark.parametrize("entry", sorted(_BUILDERS))
+def test_builders_refuse_what_the_cli_refuses(entry, value):
+    # The CLI converts its parameters before they reach a builder; a
+    # library caller gets the same refusal, not a silent float() or int().
+    if (entry, value) in _VALID:
+        _BUILDERS[entry](value)
+    else:
+        with pytest.raises(ContractViolationError):
+            _BUILDERS[entry](value)
