@@ -60,14 +60,20 @@ class SolverDivergenceError(GeomintError):
 
 def require_real(name, value, finite=False):
     """``value`` as a float; ContractViolationError unless it is a real number
-    (a ``numbers.Real``: Python's and numpy's floats and ints), finite if ``finite``."""
-    if not (isinstance(value, Real) and (not finite or math.isfinite(value))):
+    (a ``numbers.Real``: Python's and numpy's floats and ints) within the
+    float range, finite if ``finite``."""
+    try:
+        x = float(value) if isinstance(value, Real) else None
+    except OverflowError:  # an int beyond the float range
+        x = None
+    if x is None or (finite and not math.isfinite(x)):
         raise ContractViolationError(f"{name} must be a {'finite ' if finite else ''}real, got {value!r}")
-    return float(value)
+    return x
 
 
-def require_count(name, value):
-    """``value`` as an int; ContractViolationError unless it is a ``numbers.Integral`` >= 1."""
-    if not isinstance(value, Integral) or value < 1:
-        raise ContractViolationError(f"{name} must be an integer >= 1, got {value!r}")
+def require_count(name, value, minimum=1):
+    """``value`` as an int; ContractViolationError unless it is a
+    ``numbers.Integral`` >= ``minimum``."""
+    if not isinstance(value, Integral) or value < minimum:
+        raise ContractViolationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)

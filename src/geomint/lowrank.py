@@ -175,9 +175,13 @@ def _check_columns(mat, substep):
         raise SolverDivergenceError(f"{substep} substep overflowed: its result is not finite")
 
 
-def _validate_step_args(flow, y, t, h, substeps):
+def _check_shape(flow, y):
     if y.shape != flow.shape:
         raise ContractViolationError(f"factors have shape {y.shape}, flow expects {flow.shape}")
+
+
+def _validate_step_args(flow, y, t, h, substeps):
+    _check_shape(flow, y)
     require_count("substeps", substeps)
     require_real("t", t)
     require_real("h", h, finite=True)
@@ -346,6 +350,7 @@ def integrate_naive_gauge(flow, y0, t0, t_end, h):
     require_real("t0", t0)
     require_real("t_end", t_end)
     n_steps = step_count(h, t_end - t0)
+    _check_shape(flow, y0)
     (m, n), r = y0.shape, y0.rank
     pack = lambda mats: np.concatenate([a.ravel() for a in mats])
 
@@ -386,9 +391,10 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
                   speed=1.0) -> MatrixFlow:
     """Flow whose exact solution is A(t) = e^{t W1} D e^{t W2}^T.
 
-    ``diag_values`` fills the leading diagonal of the m-by-n matrix D
-    (m, n >= 2); W1, W2 are fixed random skew-symmetric matrices with
-    spectral norm ``speed`` drawn from a seeded generator, so the singular
+    ``diag_values``, a sequence of finite reals, fills the leading
+    diagonal of the m-by-n matrix D (m, n >= 2); W1, W2 are fixed random
+    skew-symmetric matrices with spectral norm ``speed`` drawn from a
+    generator seeded with the integer ``seed`` >= 0, so the singular
     values of A(t) are the diagonal values for every t.  With
     ``y_dependent`` the right-hand side is F(t, Y) = W1 Y + Y W2^T (A
     solves this exactly from A(0) = D); otherwise F(t, Y) = dA/dt
@@ -408,7 +414,7 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
     report as a divergence.  ``exact_sigma`` is set to the sorted
     |diagonal values|, padded with zeros to min(m, n).
     """
-    d_vals = np.asarray(diag_values, dtype=float)
+    d_vals = as_matrix([diag_values], "diag_values")[0]
     r0 = d_vals.size
     m = require_count("m", r0 if m is None else m)
     n = require_count("n", r0 if n is None else n)
@@ -417,6 +423,7 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
     if r0 > min(m, n):
         raise ContractViolationError(f"{r0} diagonal values do not fit a {m}x{n} matrix")
     require_real("speed", speed, finite=True)
+    seed = require_count("seed", seed, minimum=0)
     d = np.zeros((m, n))
     d[:r0, :r0] = np.diag(d_vals)
     rng = np.random.default_rng(seed)

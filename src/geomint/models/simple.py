@@ -15,7 +15,7 @@ def make_harmonic_oscillator():
     """H = (p^2 + q^2) / 2, unit frequency, one degree of freedom."""
     return SeparableSystem(
         inverse_masses=np.ones(1),
-        eval_V=lambda q: 0.5 * float(q @ q),
+        eval_V=lambda q: 0.5 * np.vecdot(q, q),
         grad_V=lambda q: q.copy(),
         name="harmonic",
     )
@@ -25,17 +25,13 @@ def make_pendulum():
     """H = p^2 / 2 - cos(q)."""
     return SeparableSystem(
         inverse_masses=np.ones(1),
-        eval_V=lambda q: -float(np.cos(q[0])),
+        eval_V=lambda q: -np.cos(q[..., 0]),
         grad_V=lambda q: np.sin(q),
         name="pendulum",
     )
 
 
-# |q| as np.linalg.norm computes it, without its per-call overhead.
-def _kepler_V(q):
-    return -1.0 / math.sqrt(q.dot(q))
-
-
+# |q| as np.linalg.norm computes it: the square root of a dot product.
 def _kepler_grad_V(q):
     r = math.sqrt(q.dot(q))
     return q / r**3
@@ -54,7 +50,7 @@ def make_kepler(eccentricity):
         raise ContractViolationError(f"eccentricity must be in [0, 1), got {e}")
     sys = SeparableSystem(
         inverse_masses=np.ones(2),
-        eval_V=_kepler_V,
+        eval_V=lambda q: -1.0 / np.sqrt(np.vecdot(q, q)),
         grad_V=_kepler_grad_V,
         name="kepler",
     )

@@ -99,17 +99,18 @@ class _NBodyPotential:
         self.n = masses.size
         # m_i m_j over pairs i < j, G m_i m_j for forces; a 0-d exponent: same bits, less overhead
         mm = np.outer(masses, masses)
-        self._pairs = np.triu_indices(self.n, k=1)
+        self._pairs = (..., *np.triu_indices(self.n, k=1))  # on the last two axes
         self._pair_mm = mm[self._pairs]
         self._gmm = g * mm
         self._eye = np.eye(self.n)
         self._exponent = np.array(-1.5)
 
     def eval_V(self, q):
-        x = q.reshape(self.n, 3)
-        diff = x[:, None, :] - x[None, :, :]
+        x = q.reshape(q.shape[:-1] + (self.n, 3))
+        diff = x[..., :, None, :] - x[..., None, :, :]
         dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-        return -self.g * float(np.add.reduce(self._pair_mm / dist[self._pairs]))
+        # C order: a stack's pair terms come out pair-major; each row must sum as alone.
+        return -self.g * np.add.reduce(np.divide(self._pair_mm, dist[self._pairs], order="C"), axis=-1)
 
     def grad_V(self, q):
         x = q.reshape(self.n, 3)

@@ -47,7 +47,8 @@ class Trajectory:
     """Recorded states of a run: times ``t`` (n,), ``p`` and ``q`` (n, d).
 
     Row i is the state at time t[i]; a trajectory holds at least one, and
-    ``len`` counts them.  The final state is ``(p[-1], q[-1])``.
+    ``len`` counts them.  The final state is ``(p[-1], q[-1])``.  ``p`` and
+    ``q`` are stored C-contiguous, so stacked energies sum each row as alone.
     """
 
     t: np.ndarray
@@ -56,8 +57,8 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        q = np.asarray(self.q, dtype=float)
+        p = np.ascontiguousarray(self.p, dtype=float)
+        q = np.ascontiguousarray(self.q, dtype=float)
         if t.ndim != 1 or t.size < 1 or p.ndim != 2 or p.shape != q.shape or p.shape[0] != t.size:
             raise ContractViolationError(
                 f"a trajectory needs t of shape (n,) and p, q of shape (n, d) with n >= 1, "

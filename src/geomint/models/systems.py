@@ -2,8 +2,8 @@
 
 A SeparableSystem has H(p, q) = p^T M^{-1} p / 2 + V(q) with a diagonal
 mass matrix M, given by the vector of its inverse diagonal; it exposes
-``dim``, ``eval_H(p, q)``, ``eval_V(q)`` and ``grad_V(q)``.  The canonical
-equations are then
+``dim``, ``grad_V(q)`` and ``eval_H(p, q)``, ``eval_V(q)`` on the last axis
+(of a state or a stack).  The canonical equations are then
 
     dp/dt = -grad V(q),    dq/dt = M^{-1} p = inverse_masses * p.
 
@@ -27,7 +27,9 @@ class SeparableSystem:
     """H(p, q) = p^T diag(inverse_masses) p / 2 + V(q).
 
     ``inverse_masses`` must be a non-empty 1-d array of positive finite
-    values.
+    values.  ``eval_V`` and so ``eval_H`` act on the last axis: a state
+    of shape (d,) gives a scalar, a stack of states of shape (n, d) gives
+    the n values, each equal bit for bit to the value of its row alone.
     """
 
     inverse_masses: np.ndarray
@@ -47,7 +49,7 @@ class SeparableSystem:
         return self.inverse_masses.size
 
     def eval_H(self, p, q):
-        return 0.5 * float(p @ (self.inverse_masses * p)) + float(self.eval_V(q))
+        return 0.5 * np.vecdot(p, self.inverse_masses * p) + self.eval_V(q)
 
 
 @dataclass
@@ -58,10 +60,7 @@ class OscillatorySystem(SeparableSystem):
     coordinates all sharing the frequency ``frequencies[j]``.  Block 0 is
     the slow block (frequency 0) in the standard layout; models whose
     spectrum has no zero frequency simply carry no zero-frequency block.
-    ``eval_U``/``grad_U`` give the coupling potential and its gradient.
-    ``eval_U`` acts on the last axis: a state q of shape (d,) gives a
-    scalar, a stack of states of shape (n, d) gives the n values, each
-    equal bit for bit to the value of its row alone.
+    ``eval_U`` (on the last axis, as ``eval_V``) and ``grad_U`` give U and its gradient.
     """
 
     frequencies: np.ndarray = None
@@ -105,7 +104,7 @@ class OscillatorySystem(SeparableSystem):
 
     def _eval_V(self, q):
         wq = self.omega * q
-        return 0.5 * float(wq @ wq) + float(self.eval_U(q))
+        return 0.5 * np.vecdot(wq, wq) + self.eval_U(q)
 
     def _grad_V(self, q):
         return self._omega_sq * q + self.grad_U(q)

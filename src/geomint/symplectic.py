@@ -325,21 +325,24 @@ def symmetry_defect(sys, method, cfg, y: PhaseState) -> float:
     return float(max(np.max(np.abs(p2 - y.p)), np.max(np.abs(q2 - y.q))))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def first_integral_series(trajectory: Trajectory, integrals) -> SeriesTable:
     """Evaluate named functionals along a trajectory.
 
     ``trajectory`` is the output of integrate(); ``integrals`` maps a name
-    to a callable (p, q) -> float, evaluated once per recorded row.  The
-    table has, per integral I, columns I, I_drift (I(t) - I(0)) and
-    I_rel_drift (drift normalized by |I(0)|, or the raw drift if I(0) is
-    zero).
+    to a callable (p, q) -> values on the last axis, as eval_H, called once
+    on the stacked records.  The table has, per integral I, columns I,
+    I_drift (I(t) - I(0)) and I_rel_drift (drift normalized by |I(0)|, or
+    the raw drift if I(0) is zero); inf or nan values raise no warning.
     """
     if not isinstance(trajectory, Trajectory):
         raise ContractViolationError(
             f"first_integral_series needs a Trajectory, got {type(trajectory).__name__}")
     columns, values = ["t"], [trajectory.t]
     for name, integral in integrals.items():
-        value = np.array([float(integral(p, q)) for p, q in zip(trajectory.p, trajectory.q)])
+        value = np.asarray(integral(trajectory.p, trajectory.q), dtype=float)
+        if value.shape != trajectory.t.shape:
+            raise ContractViolationError(f"{name} gave shape {value.shape}; it must act on the last axis")
         drift = value - value[0]
         scale = abs(value[0])
         columns += [name, f"{name}_drift", f"{name}_rel_drift"]

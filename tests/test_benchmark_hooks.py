@@ -105,10 +105,11 @@ def test_traced_hamiltonian_jobs_compute_every_note(tmp_path):
     # hold all pairs.
     assert metrics["oscillatory.near_pairs"] == 114045
     assert metrics["symplectic.divergences"] == 1  # solar --method implicit-euler
-    # One eval_H call per record of the solar and Kepler jobs (3 + 2 + 5 + 21),
-    # and every CSV row: those 31, plus 101 (FPU), 5 (Klein-Gordon) and 126
-    # (scan).  A change to how records or energies are counted shows here.
-    assert metrics["models.energy_calls"] == 31
+    # One eval_H call per solar or Kepler job, on all its records at once,
+    # and every CSV row: the 31 records of those jobs (3 + 2 + 5 + 21), plus
+    # 101 (FPU), 5 (Klein-Gordon) and 126 (scan).  A change to how records or
+    # energies are counted shows here.
+    assert metrics["models.energy_calls"] == 4
     assert metrics["harness.csv_rows"] == 263
     # Every kernel call, made through oscillatory.integrate and
     # symplectic.resolve_method where the tracer wraps them: steps of solar

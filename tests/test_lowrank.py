@@ -567,10 +567,24 @@ def test_rotating_flow_rejects_a_dimension_below_two(m, n):
         rotating_flow([1.0], m=m, n=n)
 
 
-@pytest.mark.parametrize("speed", ["1", None, 1j, np.array(1.0), float("nan"), float("inf")])
+@pytest.mark.parametrize("speed", ["1", None, 1j, np.array(1.0), float("nan"), float("inf"), 10**400])
 def test_rotating_flow_rejects_a_speed_that_is_not_a_finite_real(speed):
     with pytest.raises(ContractViolationError, match="speed must be a finite real"):
         rotating_flow([1.0, 0.5], m=4, n=3, speed=speed)
+
+
+@pytest.mark.parametrize("diag_values, seed, message", [
+    ([1j, 0.5], 0, "diag_values is complex"),
+    ("ab", 0, "diag_values does not convert"),
+    ([float("nan"), 0.5], 0, "diag_values contains non-finite"),
+    (1.0, 0, "diag_values must be 2-dimensional"),
+    ([1.0, 0.5], -1, "seed must be an integer >= 0"),
+    ([1.0, 0.5], "a", "seed must be an integer >= 0"),
+    ([1.0, 0.5], 1.0, "seed must be an integer >= 0"),
+])
+def test_rotating_flow_refuses_bad_diagonal_values_and_seeds(diag_values, seed, message):
+    with pytest.raises(ContractViolationError, match=message):
+        rotating_flow(diag_values, m=3, n=3, seed=seed)
 
 
 @settings(max_examples=40)
@@ -623,6 +637,13 @@ def test_gauge_integration_overflows_on_the_stiff_benchmark():
     y0 = factorize(flow.exact_A(0.0), 8)
     with pytest.raises(SolverDivergenceError):
         integrate_naive_gauge(flow, y0, 0.0, 0.2, 0.01)
+
+
+def test_gauge_integration_refuses_factors_of_another_shape():
+    flow = rotating_flow([1.0, 0.5], m=4, n=3, seed=2)
+    y0 = factorize(rotating_flow([1.0, 0.5], m=5, n=3, seed=2).exact_A(0.0), 2)
+    with pytest.raises(ContractViolationError, match=r"factors have shape \(5, 3\), flow expects \(4, 3\)"):
+        integrate_naive_gauge(flow, y0, 0.0, 1.0, 0.1)
 
 
 def test_gauge_integration_refuses_a_backward_interval():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     all_models_with_states,
@@ -12,7 +14,8 @@ from conftest import (
 from geomint import models, oscillatory
 from geomint.errors import ContractViolationError
 from geomint.lowrank import rotating_flow
-from geomint.models import PhaseState
+from geomint.models import PhaseState, Trajectory
+from geomint.symplectic import first_integral_series
 
 
 def rk4_separable(sys, y, h, n_steps, observe):
@@ -260,6 +263,44 @@ def test_pendulum_and_harmonic_have_expected_energies():
     assert pend.eval_H(rest.p, rest.q) == pytest.approx(-1.0, abs=1e-15)
 
 
+# Every model builder, one system each.
+_SYSTEMS = {
+    "harmonic": models.make_harmonic_oscillator(),
+    "pendulum": models.make_pendulum(),
+    "kepler": models.make_kepler(0.6)[0],
+    "solar": models.make_outer_solar_system()[0],
+    "fpu": models.make_fpu_chain(3, 50.0)[0],
+    "klein-gordon": models.make_klein_gordon(4, 0.5, 0.1)[0],
+}
+
+
+def _by_row(energy, *stacks):
+    """``energy`` of each row alone, as one array."""
+    return np.array([energy(*rows) for rows in zip(*stacks)])
+
+
+@given(name=st.sampled_from(sorted(_SYSTEMS)), n=st.integers(2, 30), scale=st.floats(1e-3, 10.0),
+       seed=st.integers(0, 2**32 - 1), strided=st.booleans())
+def test_stacked_energies_equal_their_rows_bit_for_bit(name, n, scale, seed, strided):
+    sys = _SYSTEMS[name]
+    # C-ordered (n, d) stacks, or row-strided views: every other row of
+    # stacks twice as tall.
+    p, q = scale * np.random.default_rng(seed).standard_normal((2, 2 * n if strided else n, sys.dim))
+    if strided:
+        p, q = p[::2], q[::2]
+    for rows in (1, n):  # shapes (1, d) and (n, d)
+        ps, qs = p[:rows], q[:rows]
+        v, h = sys.eval_V(qs), sys.eval_H(ps, qs)
+        assert v.shape == h.shape == (rows,)
+        assert v.tobytes() == _by_row(sys.eval_V, qs).tobytes()
+        assert h.tobytes() == _by_row(sys.eval_H, ps, qs).tobytes()
+    # A trajectory stores its states C-ordered, so a Fortran-ordered stack
+    # gives the same table.
+    t = np.arange(n, dtype=float)
+    series = lambda p, q: first_integral_series(Trajectory(t, p, q), {"H": sys.eval_H}).rows
+    assert series(np.asfortranarray(p), np.asfortranarray(q)).tobytes() == series(p, q).tobytes()
+
+
 @pytest.mark.parametrize("inverse_masses", [np.eye(2), [], [1.0, 0.0], [1.0, -1.0], [1.0, np.nan],
                                             [1.0, np.inf]],
                          ids=["matrix", "empty", "zero", "negative", "nan", "inf"])
@@ -308,3 +349,12 @@ def test_builders_refuse_what_the_cli_refuses(entry, value):
     else:
         with pytest.raises(ContractViolationError):
             _BUILDERS[entry](value)
+
+
+@pytest.mark.parametrize("entry", ["make_kepler(eccentricity)", "make_fpu_chain(omega)",
+                                   "make_klein_gordon(rho)", "make_klein_gordon(eps)",
+                                   "resonance_report(h)"])
+def test_an_int_beyond_the_float_range_is_refused(entry):
+    # float(10**400) raises OverflowError: a refusal, not that error, escapes.
+    with pytest.raises(ContractViolationError, match="must be a real"):
+        _BUILDERS[entry](10**400)

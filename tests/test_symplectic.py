@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from geomint import fdtools, models, symplectic
 from geomint.errors import ContractViolationError, SolverDivergenceError
-from geomint.models import PhaseState, SeparableSystem
+from geomint.models import PhaseState, SeparableSystem, Trajectory
 from geomint.symplectic import (
     StepperConfig,
     first_integral_series,
@@ -33,7 +33,8 @@ def step(sys, method, h, y):
 
 
 def angular_momentum(p, q):
-    return models.angular_momentum_2d(PhaseState(p=p, q=q))
+    """Planar L = q1 p2 - q2 p1 on the last axis."""
+    return q[..., 0] * p[..., 1] - q[..., 1] * p[..., 0]
 
 
 # ------------------------------------------------------------------ stepping
@@ -226,8 +227,8 @@ def test_stepper_config_validations():
         StepperConfig(step_size=0.1, solver="conjugate-gradient")
 
 
-@pytest.mark.parametrize("step_size", ["0.1", None, [0.1, 0.2], 1j, np.array([0.1])],
-                         ids=["str", "none", "list", "complex", "array"])
+@pytest.mark.parametrize("step_size", ["0.1", None, [0.1, 0.2], 1j, np.array([0.1]), 10**400],
+                         ids=["str", "none", "list", "complex", "array", "int-beyond-float"])
 def test_stepper_config_refuses_what_is_not_a_real_scalar(step_size):
     with pytest.raises(ContractViolationError, match="finite real"):
         StepperConfig(step_size=step_size)
@@ -488,11 +489,24 @@ def test_central_jacobian_evaluates_only_the_differences():
 
 def test_constant_integral_has_zero_drift():
     records = integrate(HARMONIC, "stormer-verlet", cfg(0.1), UNIT, 1.0)
-    table = first_integral_series(records, {"one": lambda p, q: 1.0})
+    one = lambda p, q: np.ones(p.shape[:-1])
+    table = first_integral_series(records, {"one": one})
     assert all(v == 0.0 for v in table.column("one_drift"))
     assert all(v == 0.0 for v in table.column("one_rel_drift"))
     with pytest.raises(ContractViolationError, match="Trajectory"):
-        first_integral_series([], {"one": lambda p, q: 1.0})
+        first_integral_series([], {"one": one})
+    # An integral must act on the last axis: one value per record.
+    with pytest.raises(ContractViolationError, match="it must act on the last axis"):
+        first_integral_series(records, {"one": lambda p, q: 1.0})
+
+
+def test_an_overflowing_integral_is_inf_without_a_warning():
+    # Both records are finite; the second one's H overflows.
+    sys, _ = models.make_kepler(0.6)
+    records = Trajectory([0, 1], [[0, 1], [1e200, 1e200]], [[1, 0], [1e200, 1]])
+    table = first_integral_series(records, {"H": sys.eval_H})
+    assert table.column("H").tolist() == [-0.5, math.inf]
+    assert table.column("H_drift")[1] == math.inf
 
 
 def test_verlet_preserves_kepler_angular_momentum():
