@@ -44,19 +44,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, require_real_array
 
 _EPS = np.finfo(float).eps
 
 
 def as_matrix(a, name="a"):
     """Validate and return real ``a`` as a 2-d float array with finite entries."""
-    try:
-        if np.iscomplexobj(a):  # the conversion would drop the imaginary part
-            raise ContractViolationError(f"{name} is complex; a real matrix is needed")
-        arr = np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ContractViolationError(f"{name} does not convert to a float array: {exc}") from None
+    arr = require_real_array(name, a)
     if arr.ndim != 2:
         raise ContractViolationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():

@@ -12,6 +12,8 @@ integrator carries a singular core on.
 import math
 from numbers import Integral, Real
 
+import numpy as np
+
 
 class GeomintError(Exception):
     """Base class for all package-specific errors."""
@@ -77,3 +79,15 @@ def require_count(name, value, minimum=1):
     if not isinstance(value, Integral) or value < minimum:
         raise ContractViolationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def require_real_array(name, value):
+    """``value`` as a float array of its own shape; ContractViolationError
+    unless numpy converts it, and refused if complex (the conversion would
+    drop the imaginary part).  Non-finite entries are left to the caller."""
+    try:
+        if np.iscomplexobj(value):
+            raise ContractViolationError(f"{name} is complex; a real array is needed")
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolationError(f"{name} does not convert to a float array: {exc}") from None

@@ -392,9 +392,9 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
     """Flow whose exact solution is A(t) = e^{t W1} D e^{t W2}^T.
 
     ``diag_values``, a sequence of finite reals, fills the leading
-    diagonal of the m-by-n matrix D (m, n >= 2); W1, W2 are fixed random
-    skew-symmetric matrices with spectral norm ``speed`` drawn from a
-    generator seeded with the integer ``seed`` >= 0, so the singular
+    diagonal of the m-by-n matrix D (2 <= m, n <= 1000); W1, W2 are fixed
+    random skew-symmetric matrices with spectral norm ``speed`` drawn from
+    a generator seeded with the integer ``seed`` >= 0, so the singular
     values of A(t) are the diagonal values for every t.  With
     ``y_dependent`` the right-hand side is F(t, Y) = W1 Y + Y W2^T (A
     solves this exactly from A(0) = D); otherwise F(t, Y) = dA/dt
@@ -420,6 +420,12 @@ def rotating_flow(diag_values, m=None, n=None, seed=0, y_dependent=True,
     n = require_count("n", r0 if n is None else n)
     if min(m, n) < 2:
         raise ContractViolationError(f"rotating_flow needs m, n >= 2, got {m}x{n}")
+    if max(m, n) > 1000:
+        # W1 and W2 are eigendecomposed densely (O(m**3) time, 16 m**2
+        # bytes each) and every evaluation of A is a dense complex product:
+        # at 1,000 x 1,000 a flow already takes about 2 s to build and
+        # 0.17 s per A(t) on 2 vCPUs.  The experiments use at most 40 x 40.
+        raise ContractViolationError(f"rotating_flow needs m, n <= 1000, got {m}x{n}")
     if r0 > min(m, n):
         raise ContractViolationError(f"{r0} diagonal values do not fit a {m}x{n} matrix")
     require_real("speed", speed, finite=True)

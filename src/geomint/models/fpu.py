@@ -59,8 +59,12 @@ def make_fpu_chain(m, omega):
 
     def grad_U(q):
         c = _spring_terms(q, m) ** cube
-        grad = np.empty(2 * m)  # (d/dx, d/dy)
-        grad[:m], grad[m:] = c[:-1] - c[1:], -(c[:-1] + c[1:])
+        left, right = c[:-1], c[1:]
+        grad = np.empty(2 * m)  # (d/dx, d/dy), written in place
+        d_dy = grad[m:]
+        np.subtract(left, right, out=grad[:m])
+        np.add(left, right, out=d_dy)
+        np.negative(d_dy, out=d_dy)
         wall = 2.0 * c[m]  # the last spring ties x_m + y_m to the wall, flipping signs
         grad[m - 1] += wall
         grad[-1] += wall

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractViolationError
+from ..errors import ContractViolationError, require_real_array
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,8 @@ class PhaseState:
     q: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
+        p = np.atleast_1d(require_real_array("p", self.p))
+        q = np.atleast_1d(require_real_array("q", self.q))
         if p.ndim != 1 or q.ndim != 1 or p.size != q.size:
             raise ContractViolationError(
                 f"p and q must be 1-d arrays of equal length, got {p.shape} and {q.shape}"

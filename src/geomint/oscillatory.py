@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ContractViolationError, InadmissibleStepError, ResonantStepError,
-                     SolverDivergenceError, require_real)
+                     SolverDivergenceError, require_real, require_real_array)
 from .models.state import Trajectory
 from .models.systems import OscillatorySystem
 from .models.systems import oscillatory_energies  # noqa: F401 -- perfbench's tracer patches this name
@@ -55,7 +55,7 @@ def sinc(x):
     Below the cutoff the fourth-order Taylor polynomial is used, which is
     exact to machine precision there and avoids any 0/0 evaluation.
     """
-    x = np.asarray(x, dtype=float)
+    x = require_real_array("x", x)
     small = np.abs(x) < _SINC_TAYLOR_CUTOFF
     out = np.empty_like(x)
     xs = x[small]

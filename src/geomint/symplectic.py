@@ -121,9 +121,15 @@ def _newton(residual_fn, x0):
     )
 
 
-def _require_separable(sys):
+def _require_problem(sys, y, name):
+    """Refuse a system that is not separable and a state ``name`` that is
+    not a PhaseState of the system's dimension."""
     if not isinstance(sys, SeparableSystem):
         raise ContractViolationError(f"steppers need a SeparableSystem, got {type(sys).__name__}")
+    if not isinstance(y, PhaseState):
+        raise ContractViolationError(f"{name} must be a PhaseState, got {type(y).__name__}")
+    if y.dim != sys.dim:
+        raise ContractViolationError(f"{name} has dimension {y.dim}, system expects {sys.dim}")
 
 
 @lru_cache(maxsize=16)
@@ -250,12 +256,10 @@ def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end
     ``step_index = k`` and, in its ``records`` attribute, the trajectory
     cut to the rows written before step k.
     """
-    _require_separable(sys)
+    _require_problem(sys, y0, "y0")
     h = cfg.step_size
     n_steps = step_count(h, t_end)
     require_count("record_every", record_every)
-    if y0.dim != sys.dim:
-        raise ContractViolationError(f"y0 has dimension {y0.dim}, system expects {sys.dim}")
     kernel = resolve_method(method)
     recorded = np.arange(0, n_steps + 1, record_every)
     if recorded[-1] != n_steps:
@@ -302,7 +306,7 @@ def symplecticity_defect(sys, method, cfg, y: PhaseState) -> float:
     Exactly symplectic maps give zero up to finite-difference noise;
     the explicit and implicit Euler methods give a defect of order h^2.
     """
-    _require_separable(sys)
+    _require_problem(sys, y, "y")
     kernel = resolve_method(method)
     d = y.dim
 
@@ -317,7 +321,7 @@ def symplecticity_defect(sys, method, cfg, y: PhaseState) -> float:
 
 def symmetry_defect(sys, method, cfg, y: PhaseState) -> float:
     """Max-norm of Phi_{-h}(Phi_h(y)) - y; zero for symmetric methods."""
-    _require_separable(sys)
+    _require_problem(sys, y, "y")
     kernel = resolve_method(method)
     h = cfg.step_size
     p1, q1, _ = kernel(sys, cfg, h, y.p, y.q)

@@ -567,6 +567,14 @@ def test_rotating_flow_rejects_a_dimension_below_two(m, n):
         rotating_flow([1.0], m=m, n=n)
 
 
+@pytest.mark.parametrize("m, n", [(10**400, 3), (3, 10**400), (10**12, 3), (1001, 3)])
+def test_rotating_flow_refuses_a_dimension_above_its_cap(m, n):
+    # Refused before numpy sees the size: 10**400 used to end in numpy's
+    # ValueError and 10**12 in a MemoryError for a 21.8-TiB D.
+    with pytest.raises(ContractViolationError, match="m, n <= 1000"):
+        rotating_flow([1.0, 0.5], m=m, n=n)
+
+
 @pytest.mark.parametrize("speed", ["1", None, 1j, np.array(1.0), float("nan"), float("inf"), 10**400])
 def test_rotating_flow_rejects_a_speed_that_is_not_a_finite_real(speed):
     with pytest.raises(ContractViolationError, match="speed must be a finite real"):

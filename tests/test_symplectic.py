@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomint import fdtools, models, symplectic
+from geomint import fdtools, models, oscillatory, symplectic
 from geomint.errors import ContractViolationError, SolverDivergenceError
 from geomint.models import PhaseState, SeparableSystem, Trajectory
 from geomint.symplectic import (
@@ -208,6 +208,23 @@ class _NotSeparable:
 def test_non_separable_system_is_contract_violation(run):
     with pytest.raises(ContractViolationError, match="SeparableSystem"):
         run(_NotSeparable())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PhaseState("ab", "cd"), "p does not convert"),
+    (lambda: PhaseState([1.0], 1j), "q is complex"),
+    (lambda: oscillatory.sinc("x"), "x does not convert"),
+    (lambda: oscillatory.sinc([0.5, 1j]), "x is complex"),
+    (lambda: symmetry_defect(HARMONIC, "stormer-verlet", cfg(0.1), "x"), "y must be a PhaseState"),
+    (lambda: symplecticity_defect(HARMONIC, "stormer-verlet", cfg(0.1), "x"), "y must be a PhaseState"),
+    (lambda: integrate(HARMONIC, "stormer-verlet", cfg(0.1), "x", 1.0), "y0 must be a PhaseState"),
+    (lambda: symmetry_defect(HARMONIC, "stormer-verlet", cfg(0.1), PhaseState([1.0, 0.0], [0.0, 1.0])),
+     "y has dimension 2, system expects 1"),
+], ids=["phase-state-text", "phase-state-complex", "sinc-text", "sinc-complex", "symmetry-defect-text",
+        "symplecticity-defect-text", "integrate-text", "symmetry-defect-dimension"])
+def test_states_and_sinc_arguments_that_are_not_real_arrays_are_contract_violations(call, message):
+    with pytest.raises(ContractViolationError, match=message):
+        call()
 
 
 def test_method_ids_map_to_kernels():
