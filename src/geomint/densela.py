@@ -120,17 +120,15 @@ def qr_thin(a):
         tau = _umath_linalg.qr_r_raw(h, signature="d->d")
         q = _umath_linalg.qr_reduced(h, tau, signature="dd->d")
         col_norms = np.sqrt(np.add.reduce(a * a, axis=0))
-    # np.triu(h[:n])'s bits: the upper triangle of h and +0.0 below it.
-    upper = _upper_mask(n)
-    r = np.where(upper, h[:n], 0.0)
-    diag = r.diagonal()  # a view: it follows the writes below
     # Sign fix: negate the columns of q and the rows of r whose diagonal
-    # entry is negative, keeping q @ r unchanged.  Only the upper triangle
-    # of those rows is negated, so the lower triangle stays +0.0.
-    flip = diag < 0.0
-    if flip.any():
-        np.negative(q, out=q, where=flip)
-        np.negative(r, out=r, where=upper & flip[:, None])
+    # entry is negative, keeping q @ r unchanged.  Multiplying LAPACK's
+    # finite output by -1.0 or 1.0 gives np.negative's bits or leaves
+    # them.  r takes the upper triangle of the scaled rows and +0.0 below
+    # it, np.triu's bits.
+    sign = np.where(h.diagonal() < 0.0, -1.0, 1.0)
+    q *= sign
+    r = np.where(_upper_mask(n), h[:n] * sign[:, None], 0.0)
+    diag = r.diagonal()
     # A diagonal entry below roundoff relative to its own column is pure
     # reflector noise from a linearly dependent column; report it as an
     # exact zero.  The comparison is column-local on purpose: columns that

@@ -14,6 +14,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
+_FLOAT64 = np.dtype(float)
+
 
 class GeomintError(Exception):
     """Base class for all package-specific errors."""
@@ -84,7 +86,10 @@ def require_count(name, value, minimum=1):
 def require_real_array(name, value):
     """``value`` as a float array of its own shape; ContractViolationError
     unless numpy converts it, and refused if complex (the conversion would
-    drop the imaginary part).  Non-finite entries are left to the caller."""
+    drop the imaginary part).  Non-finite entries are left to the caller.
+    A float64 ``ndarray`` is returned as is, as ``np.asarray`` returns it."""
+    if type(value) is np.ndarray and value.dtype == _FLOAT64:
+        return value
     try:
         if np.iscomplexobj(value):
             raise ContractViolationError(f"{name} is complex; a real array is needed")

@@ -73,10 +73,19 @@ def _lines(stream):
     the lines are those of ``str.splitlines`` on the whole text.
     """
     rest = ""
-    while chunk := stream.read(_READ_CHARS):
+    while chunk := _read(stream):
         head, newline, rest = (rest + chunk).rpartition("\n")
         yield from (head + newline).splitlines()
     yield from rest.splitlines()
+
+
+def _read(stream):
+    # Bytes that are not ASCII are bad input, reported as the parse errors
+    # are, not as the UnicodeDecodeError of the stream's decoder.
+    try:
+        return stream.read(_READ_CHARS)
+    except UnicodeDecodeError as exc:
+        raise ContractViolationError(f"CSV input is not ASCII: {exc}") from None
 
 
 def _parse(lines):

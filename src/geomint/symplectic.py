@@ -121,11 +121,14 @@ def _newton(residual_fn, x0):
     )
 
 
-def _require_problem(sys, y, name):
-    """Refuse a system that is not separable and a state ``name`` that is
-    not a PhaseState of the system's dimension."""
+def _require_problem(sys, cfg, y, name):
+    """Refuse a system that is not separable, a ``cfg`` that is not a
+    StepperConfig and a state ``name`` that is not a PhaseState of the
+    system's dimension."""
     if not isinstance(sys, SeparableSystem):
         raise ContractViolationError(f"steppers need a SeparableSystem, got {type(sys).__name__}")
+    if not isinstance(cfg, StepperConfig):
+        raise ContractViolationError(f"cfg must be a StepperConfig, got {type(cfg).__name__}")
     if not isinstance(y, PhaseState):
         raise ContractViolationError(f"{name} must be a PhaseState, got {type(y).__name__}")
     if y.dim != sys.dim:
@@ -256,7 +259,7 @@ def integrate(sys, method: MethodSpec, cfg: StepperConfig, y0: PhaseState, t_end
     ``step_index = k`` and, in its ``records`` attribute, the trajectory
     cut to the rows written before step k.
     """
-    _require_problem(sys, y0, "y0")
+    _require_problem(sys, cfg, y0, "y0")
     h = cfg.step_size
     n_steps = step_count(h, t_end)
     require_count("record_every", record_every)
@@ -306,7 +309,7 @@ def symplecticity_defect(sys, method, cfg, y: PhaseState) -> float:
     Exactly symplectic maps give zero up to finite-difference noise;
     the explicit and implicit Euler methods give a defect of order h^2.
     """
-    _require_problem(sys, y, "y")
+    _require_problem(sys, cfg, y, "y")
     kernel = resolve_method(method)
     d = y.dim
 
@@ -321,7 +324,7 @@ def symplecticity_defect(sys, method, cfg, y: PhaseState) -> float:
 
 def symmetry_defect(sys, method, cfg, y: PhaseState) -> float:
     """Max-norm of Phi_{-h}(Phi_h(y)) - y; zero for symmetric methods."""
-    _require_problem(sys, y, "y")
+    _require_problem(sys, cfg, y, "y")
     kernel = resolve_method(method)
     h = cfg.step_size
     p1, q1, _ = kernel(sys, cfg, h, y.p, y.q)

@@ -74,6 +74,20 @@ def test_setup_probe_replaces_and_restores_every_builder(tmp_path):
     for (owner, name), original in zip(owners, originals):
         assert getattr(owner, name) is original, name
     assert calls
+    # One rotating_flow call per flow the run builds (ranks 1 and 3), also
+    # where the flows share their generators: the probe replays every build.
+    assert [call[1] for call in calls].count("rotating_flow") == 2
+
+
+def test_setup_probe_records_every_robustness_flow(tmp_path):
+    # The four floors build four flows of one generator set; sharing it must
+    # not hide a build from the replay that setup_s times.
+    probe = _load_perfbench_module("setup_probe")
+    calls = []
+    with probe.record_builds(calls):
+        argv = ["run", "lowrank-robustness", "--t-end", "0.05", "--output", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 0
+    assert [call[1] for call in calls].count("rotating_flow") == 4
 
 
 def test_traced_hamiltonian_jobs_compute_every_note(tmp_path):

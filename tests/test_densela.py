@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from geomint import densela
 from geomint.densela import as_matrix, qr_thin, svd_full, truncated_svd
-from geomint.errors import ContractViolationError
+from geomint.errors import ContractViolationError, require_real_array
 from geomint.lowrank import LowRankFactors
 
 # The shapes the low-rank workloads factor: K = U S and L = V S^T (40x8,
@@ -93,6 +93,20 @@ def test_complex_input_is_a_contract_violation(call):
     # ComplexWarning (an error under this suite's RuntimeWarning filter).
     with pytest.raises(ContractViolationError, match="is complex"):
         call()
+
+
+def test_require_real_array_returns_a_float64_array_as_is_and_converts_the_rest():
+    a = np.ones((2, 3))
+    assert require_real_array("a", a) is a
+    for value in (np.ones((2, 3), dtype=np.float32), np.arange(6).reshape(2, 3), [[1, 2, 3]]):
+        arr = require_real_array("a", value)
+        assert type(arr) is np.ndarray and arr.dtype == np.float64
+        assert np.array_equal(arr, np.asarray(value, dtype=float))
+    with pytest.raises(ContractViolationError, match="a is complex"):
+        require_real_array("a", np.ones(2, dtype=complex))
+    for value in (np.array([object()]), np.array(["x"], dtype=object)):
+        with pytest.raises(ContractViolationError, match="a does not convert"):
+            require_real_array("a", value)
 
 
 # ------------------------------------------------------------------ thin QR

@@ -137,6 +137,19 @@ def test_parse_rejects_bad_input():
         csvio.parse_csv(io.StringIO("a,b\n1\n"))
 
 
+NON_ASCII_CSV = b"t,x\n0,1\n1,\xe9\n"
+
+
+def test_a_non_ascii_byte_is_a_contract_violation(tmp_path):
+    # The benchmark's output check catches ContractViolationError only; the
+    # decoder's UnicodeDecodeError used to escape both sources.
+    dest = tmp_path / "latin1.csv"
+    dest.write_bytes(NON_ASCII_CSV)
+    for source in (dest, io.TextIOWrapper(io.BytesIO(NON_ASCII_CSV), encoding="ascii")):
+        with pytest.raises(ContractViolationError, match="CSV input is not ASCII"):
+            csvio.parse_csv(source)
+
+
 def test_emit_to_path(tmp_path):
     table = SeriesTable(["t"], [[1.0]])
     dest = tmp_path / "out.csv"

@@ -2,10 +2,11 @@
 
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomint import lowrank
@@ -559,6 +560,61 @@ def test_strang_step_is_time_symmetric_on_random_flows(m, n, rank, seed, speed, 
     h = turn / speed
     back = strang_step(flow, strang_step(flow, y, t, h), t + h, -h)
     assert np.linalg.norm(to_full(back) - to_full(y)) <= 1e-12 * np.linalg.norm(to_full(y))
+
+
+def _build_recording_generators(**kwargs):
+    """rotating_flow(**kwargs) and the generator set it was handed."""
+    shared = lowrank._rotation_generators
+    handed = []
+
+    def recording(*key):
+        handed.append(shared(*key))
+        return handed[-1]
+
+    with mock.patch.object(lowrank, "_rotation_generators", recording):
+        flow = rotating_flow(**kwargs)
+    (generators,) = handed
+    return flow, generators
+
+
+@st.composite
+def shared_generator_args(draw):
+    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    diags = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=min(m, n))
+    speed = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0)))
+    return (m, n, draw(st.integers(0, 2**32 - 1)), speed, draw(diags), draw(diags),
+            draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=40)
+@given(args=shared_generator_args(), t=st.floats(-5.0, 5.0), span=st.floats(-1.0, 1.0))
+@example(args=(3, 2, 1, 0.0, [1.0], [2.0, 0.5], False, True), t=0.5, span=0.25)
+@example(args=(3, 2, 1, -0.0, [1.0], [2.0, 0.5], True, True), t=0.5, span=0.25)
+def test_flows_that_share_generators_are_exact_and_isolated(args, t, span):
+    # The warm-up flow has the same key as the flow under test, or its speed
+    # with the other sign: for +0.0 and -0.0 that is a key only the sign
+    # tells apart, and the flows' generators differ in the sign of zeros.
+    m, n, seed, speed, diag, warm_diag, y_dependent, flip = args
+    kwargs = dict(m=m, n=n, seed=seed, y_dependent=y_dependent)
+    lowrank._rotation_generators.cache_clear()
+    rotating_flow(warm_diag, speed=-speed if flip else speed, **kwargs)
+    warm, handed = _build_recording_generators(diag_values=diag, speed=speed, **kwargs)
+    lowrank._rotation_generators.cache_clear()
+    cold, fresh = _build_recording_generators(diag_values=diag, speed=speed, **kwargs)
+    assert [a.tobytes() for a in handed] == [a.tobytes() for a in fresh]
+    y = np.random.default_rng(seed).standard_normal((m, n))
+
+    def outputs(flow):
+        values = [flow.exact_A(t), flow.eval_F(t, y)]
+        if not y_dependent:
+            values.append(flow.increment(t, span))
+        return [value.tobytes() for value in values]
+
+    assert outputs(warm) == outputs(cold)
+    # Every flow of the key holds these arrays; none may write to them.
+    for array in handed:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
 
 
 @pytest.mark.parametrize("m, n", [(3, 1), (1, 1)])

@@ -227,6 +227,18 @@ def test_states_and_sinc_arguments_that_are_not_real_arrays_are_contract_violati
         call()
 
 
+@pytest.mark.parametrize("bad_cfg", ["x", None, 0.1], ids=["str", "none", "float"])
+@pytest.mark.parametrize("run", [
+    lambda config: integrate(HARMONIC, "stormer-verlet", config, UNIT, 1.0),
+    lambda config: symplecticity_defect(HARMONIC, "stormer-verlet", config, UNIT),
+    lambda config: symmetry_defect(HARMONIC, "stormer-verlet", config, UNIT),
+], ids=["integrate", "symplecticity_defect", "symmetry_defect"])
+def test_a_cfg_that_is_not_a_stepper_config_is_a_contract_violation(run, bad_cfg):
+    # Each used to end in AttributeError on cfg.step_size.
+    with pytest.raises(ContractViolationError, match="cfg must be a StepperConfig"):
+        run(bad_cfg)
+
+
 def test_method_ids_map_to_kernels():
     # A kernel callable passes through; ids resolve to the same objects
     # on every call; anything else is refused.
