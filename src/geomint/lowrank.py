@@ -178,6 +178,10 @@ def _check_columns(mat, substep):
 
 
 def _check_shape(flow, y):
+    if not isinstance(flow, MatrixFlow):
+        raise ContractViolationError(f"flow must be a MatrixFlow, got {type(flow).__name__}")
+    if not isinstance(y, LowRankFactors):
+        raise ContractViolationError(f"factors must be LowRankFactors, got {type(y).__name__}")
     if y.shape != flow.shape:
         raise ContractViolationError(f"factors have shape {y.shape}, flow expects {flow.shape}")
 

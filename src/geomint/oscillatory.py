@@ -18,9 +18,9 @@ Step sizes are screened by a non-resonance report: h*omega_j should stay
 away from multiples of pi (by sqrt(h)), unless the product is itself
 below sqrt(h) and the oscillation is fully resolved.  A product so large
 that neighbouring doubles lie sqrt(h) or more apart is refused outright,
-since its distance to a multiple of pi cannot be resolved.  Signed sums of the
-h*omega_j are additionally checked against nonzero multiples of 2*pi.
-The report is a warning-or-refuse policy device; it does not guarantee
+since its distance to a multiple of pi cannot be resolved.  Near-resonant
+pairs among the signed sums of one or two h*omega_j are counted, not gated
+on.  The report is a warning-or-refuse policy device; it does not guarantee
 the long-time behavior, it only refuses step sizes that are known bad.
 ``run_screened`` is a screened run and its energy_table; the models it
 runs on, their sizes and the record interval are the experiment
@@ -99,6 +99,15 @@ FILTERS = {
 }
 
 
+def _require_oscillatory(sys, *filters):
+    """Refuse a system that is not an OscillatorySystem, or filters that are not a FilterPair."""
+    if not isinstance(sys, OscillatorySystem):
+        raise ContractViolationError(f"trigonometric steps need an OscillatorySystem, got {type(sys).__name__}")
+    for pair in filters:
+        if not isinstance(pair, FilterPair):
+            raise ContractViolationError(f"filters must be a FilterPair, got {type(pair).__name__}")
+
+
 class TrigKernel:
     """Stepper kernel for one system/filter pair; caches coefficients per h.
 
@@ -111,8 +120,7 @@ class TrigKernel:
     """
 
     def __init__(self, sys: OscillatorySystem, filters: FilterPair):
-        if not isinstance(sys, OscillatorySystem):
-            raise ContractViolationError("trigonometric steps need an OscillatorySystem")
+        _require_oscillatory(sys, filters)
         self.sys = sys
         self.filters = filters
         self._coeff_cache = {}
@@ -159,50 +167,16 @@ class TrigKernel:
 
 
 @lru_cache(maxsize=8)
-def _signed_combinations(n_freqs, max_terms):
-    """Integer coefficient vectors k with 1 <= sum |k_i| <= max_terms, as the
-    rows of one read-only (S, n_freqs) array.
-
-    Only one of {k, -k} is produced (first nonzero entry positive).  Rows
-    come depth first: a vector, then every vector that extends it by
-    nonzero entries after its last one, taken by position, then magnitude,
-    then sign (+ first).  A scan screens one system at many step sizes, so
-    the array is built once per (n_freqs, max_terms).
-    """
-    # Term c is (pos[c], mag[c], sign[c]), numbered in that order, so a
-    # vector is the row of its term numbers; padded with -1, the rows sort
-    # depth first.
-    pos, mag, sign = (a.ravel() for a in np.meshgrid(
-        np.arange(n_freqs), np.arange(1, max_terms + 1), [1, -1], indexing="ij"))
-    value = mag * sign
-    level = np.flatnonzero(sign > 0)[:, None]
-    levels = [level]
-    for _ in range(1, max_terms):
-        budget = max_terms - np.abs(value[level]).sum(axis=1)
-        row, term = np.nonzero((pos > pos[level[:, -1], None]) & (mag <= budget[:, None]))
-        level = np.column_stack([level[row], term])
-        levels.append(level)
-    terms = np.concatenate([np.pad(level, ((0, 0), (0, max_terms - level.shape[1])), constant_values=-1)
-                            for level in levels])
-    terms = terms[np.lexsort(terms.T[::-1])]
-    row, slot = np.nonzero(terms >= 0)
-    coefficients = np.zeros((terms.shape[0], n_freqs), dtype=np.int64)
-    coefficients[row, pos[terms[row, slot]]] = value[terms[row, slot]]
+def _signed_combinations(n_freqs):
+    """Integer coefficient vectors k with 1 <= sum |k_i| <= 2, one of each
+    {k, -k}, as the rows of one read-only (S, n_freqs) int64 array: e_i,
+    then 2 e_i, then e_i + e_j and e_i - e_j for i < j.  A scan screens one
+    system at many step sizes, so the array is built once per n_freqs."""
+    eye = np.eye(n_freqs, dtype=np.int64)
+    i, j = np.triu_indices(n_freqs, k=1)
+    coefficients = np.concatenate([eye, 2 * eye, eye[i] + eye[j], eye[i] - eye[j]])
     coefficients.flags.writeable = False
     return coefficients
-
-
-def _distance_to_multiples(values, period, include_zero):
-    """Distance of each value (>= 0) to the nearest multiple of ``period``."""
-    values = np.asarray(values, dtype=float)
-    rem = np.mod(values, period)
-    dist = np.minimum(rem, period - rem)
-    if not include_zero:
-        # The multiple 0 does not count: values below period/2 are
-        # measured against the first nonzero multiple instead.
-        below = values < 0.5 * period
-        dist = np.where(below, period - values, dist)
-    return dist
 
 
 def _window_ends(ordered, threshold):
@@ -243,8 +217,6 @@ class ResonanceReport:
     admissible: bool  # all single-frequency conditions hold
     sum_coefficients: np.ndarray  # (S, n) read-only integer coefficients over the n positive blocks
     sum_values: np.ndarray  # |sum k_j h omega_j|
-    sum_distances: np.ndarray  # distance to nonzero multiples of 2 pi
-    sums_admissible: bool
     n_near_pairs: int  # pairs a < b with |sum_values[a] - sum_values[b]| < threshold
     _order: np.ndarray = field(repr=False)  # stable argsort of sum_values
     _ends: np.ndarray = field(repr=False)  # _window_ends(sum_values[_order], threshold)
@@ -264,39 +236,37 @@ class ResonanceReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceReport:
+def resonance_report(sys: OscillatorySystem, h) -> ResonanceReport:
     """Screen step size ``h`` against the frequencies of ``sys``.
 
-    Single-frequency rule: every h*omega_j must be at least sqrt(h) away
-    from the nearest multiple of pi, except that a product below sqrt(h)
-    (an oscillation fully resolved by the step) is admissible.  A product
-    whose spacing of doubles (np.spacing) is sqrt(h) or more is never
-    admissible: its distance to a multiple of pi means nothing there (an
-    overflowing product is refused too, without a RuntimeWarning).  Sum rule:
-    signed sums of at most ``n_sum_terms + 1`` of the h*omega_j must stay
-    sqrt(h) away from nonzero multiples of 2*pi.  Pairs of sums closer
-    than sqrt(h) to each other are near-resonant combinations (these are
-    genuine frequency resonances, not step-size artifacts, so they do not
-    affect admissibility).  The screen counts them in ``n_near_pairs`` from
-    the sorted sums, in memory linear in the number of sums;
-    ``near_resonant_pairs``, built on first read, lists them as an (n, 2)
-    index array whose rows a < b index ``sum_coefficients`` and
-    ``sum_values``.
+    Admissibility is the single-frequency rule: every h*omega_j must be at
+    least sqrt(h) away from the nearest multiple of pi, except that a
+    product below sqrt(h) (an oscillation fully resolved by the step) is
+    admissible.  A product whose spacing of doubles (np.spacing) is sqrt(h)
+    or more is never admissible: its distance to a multiple of pi means
+    nothing there (an overflowing product is refused too, without a
+    RuntimeWarning).  The report also lists the signed sums of one or two
+    of the h*omega_j.  Pairs of sums closer than sqrt(h) to each other are
+    near-resonant combinations (genuine frequency resonances, not step-size
+    artifacts, so they do not affect admissibility).  The screen counts
+    them in ``n_near_pairs`` from the sorted sums, in memory linear in the
+    number of sums; ``near_resonant_pairs``, built on first read, lists
+    them as an (n, 2) index array whose rows a < b index
+    ``sum_coefficients`` and ``sum_values``.
     """
+    _require_oscillatory(sys)
     h = require_real("h", h)
     if h <= 0.0 or not np.isfinite(h):
         raise ContractViolationError(f"h must be positive and finite, got {h}")
-    if not isinstance(n_sum_terms, (int, np.integer)) or n_sum_terms < 0:
-        raise ContractViolationError(f"n_sum_terms must be an integer >= 0, got {n_sum_terms!r}")
     threshold = np.sqrt(h)
     positive = np.flatnonzero(sys.frequencies > 0.0)
     xi = h * sys.frequencies[positive]
-    freq_dist = _distance_to_multiples(xi, np.pi, include_zero=True)
+    rem = np.mod(xi, np.pi)
+    freq_dist = np.minimum(rem, np.pi - rem)
     freq_ok = ((freq_dist >= threshold) | (xi < threshold)) & (np.spacing(xi) < threshold)
 
-    coefficients = _signed_combinations(positive.size, n_sum_terms + 1)
+    coefficients = _signed_combinations(positive.size)
     sums = np.abs(coefficients.astype(float) @ xi)
-    sum_dist = _distance_to_multiples(sums, 2.0 * np.pi, include_zero=False)
     order = np.argsort(sums, kind="stable")
     ends = _window_ends(sums[order], threshold)
     return ResonanceReport(
@@ -309,8 +279,6 @@ def resonance_report(sys: OscillatorySystem, h, n_sum_terms=1) -> ResonanceRepor
         admissible=bool(np.all(freq_ok)),
         sum_coefficients=coefficients,
         sum_values=sums,
-        sum_distances=sum_dist,
-        sums_admissible=bool(np.all(sum_dist >= threshold)),
         n_near_pairs=int(np.sum(ends - np.arange(1, sums.size + 1))),
         _order=order,
         _ends=ends,
@@ -330,6 +298,7 @@ def energy_table(sys: OscillatorySystem, trajectory: Trajectory) -> SeriesTable:
     positions.  The energies of a blown-up record are inf or nan, as
     integrate() lets them be, without a RuntimeWarning.
     """
+    _require_oscillatory(sys)
     if not isinstance(trajectory, Trajectory):
         raise ContractViolationError(f"energy_table needs a Trajectory, got {type(trajectory).__name__}")
     p, q = trajectory.p, trajectory.q
@@ -365,6 +334,7 @@ def run_screened(sys, y0, filters, h, t_end, record_every) -> SeriesTable:
     resonance report attached).  If step k leaves the state non-finite,
     the raised SolverDivergenceError carries ``step_index = k`` and the
     energy_table of the records before it in ``records``."""
+    _require_oscillatory(sys, filters)
     report = resonance_report(sys, h)
     if not report.admissible:
         blocks = report.block_indices[~report.freq_admissible].tolist()

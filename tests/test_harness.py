@@ -738,8 +738,8 @@ def test_resonant_step_error_is_a_contract_violation(tmp_path, capsys, monkeypat
     # check refuses the step.
     screen = oscillatory.resonance_report
 
-    def admit(sys, h, n_sum_terms=1):
-        return dataclasses.replace(screen(sys, h, n_sum_terms), admissible=True)
+    def admit(sys, h):
+        return dataclasses.replace(screen(sys, h), admissible=True)
 
     monkeypatch.setattr(oscillatory, "resonance_report", admit)
     dest = tmp_path / "x.csv"

@@ -784,3 +784,24 @@ def test_benchmark_table_shape_and_best_error_formula():
     assert row["best_error"] == pytest.approx(np.sqrt(np.sum(d_vals[8:] ** 2)), rel=1e-12)
     assert row["sigma_min_retained"] == pytest.approx(2.0**-8, rel=1e-12)
     assert row["within_envelope"] == 1.0
+
+
+@pytest.mark.parametrize("case", ["flow-str", "flow-dict", "factors-dense", "factors-str"])
+@pytest.mark.parametrize("run", [
+    lambda flow, y: ksl_step(flow, y, 0.0, 0.1),
+    lambda flow, y: strang_step(flow, y, 0.0, 0.1),
+    lambda flow, y: integrate_lowrank(flow, y, 0.0, 0.2, 0.1),
+    lambda flow, y: integrate_naive_gauge(flow, y, 0.0, 0.2, 0.1),
+], ids=["ksl_step", "strang_step", "integrate_lowrank", "integrate_naive_gauge"])
+def test_entry_points_refuse_a_flow_or_factors_of_the_wrong_type(run, case):
+    flow = rotating_flow([1.0, 0.5], m=4, n=3, seed=2)
+    y = factorize(flow.exact_A(0.0), 2)
+    # The dense array has the flow's shape, so only its type is wrong.
+    args, message = {
+        "flow-str": (("x", y), "flow must be a MatrixFlow, got str"),
+        "flow-dict": ((vars(flow), y), "flow must be a MatrixFlow, got dict"),
+        "factors-dense": ((flow, to_full(y)), "factors must be LowRankFactors, got ndarray"),
+        "factors-str": ((flow, "x"), "factors must be LowRankFactors, got str"),
+    }[case]
+    with pytest.raises(ContractViolationError, match=message):
+        run(*args)

@@ -1,5 +1,6 @@
 """Filtered trigonometric stepping for systems with fast harmonic blocks."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -196,8 +197,8 @@ def test_eval_U_of_a_stack_equals_its_rows_bit_for_bit(model, size, n, scale, se
 
 
 @given(freqs=st.lists(st.floats(0.5, 40.0), min_size=1, max_size=5),
-       slow=st.booleans(), h=st.floats(1e-3, 0.5), n_sum_terms=st.integers(0, 2))
-def test_near_resonant_pairs_match_a_brute_force_search(freqs, slow, h, n_sum_terms):
+       slow=st.booleans(), h=st.floats(1e-3, 0.5))
+def test_near_resonant_pairs_match_a_brute_force_search(freqs, slow, h):
     frequencies = sorted(freqs)
     if slow:
         frequencies = [0.0] + frequencies
@@ -207,7 +208,7 @@ def test_near_resonant_pairs_match_a_brute_force_search(freqs, slow, h, n_sum_te
         eval_U=no_coupling,
         grad_U=lambda q: np.zeros(len(frequencies)),
     )
-    rep = resonance_report(sys, h, n_sum_terms=n_sum_terms)
+    rep = resonance_report(sys, h)
     sums = rep.sum_values
     expected = [[a, b] for a in range(sums.size) for b in range(a + 1, sums.size)
                 if abs(sums[a] - sums[b]) < rep.threshold]
@@ -223,15 +224,11 @@ def test_near_resonant_pairs_match_a_brute_force_search(freqs, slow, h, n_sum_te
 # y - x < sqrt(h) disagree (one way, then the other).  In the last, h * 1e308
 # overflows: its sums are inf or nan and near nothing.
 @given(freqs=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 50.0]), min_size=1, max_size=6),
-       slow=st.booleans(), h=st.one_of(st.sampled_from([0.01, 0.25, 1.0]), st.floats(1e-3, 4.0)),
-       n_sum_terms=st.integers(0, 2))
-@example(freqs=[3.036470273831545] * 2 + [10.10753808569702] * 3, slow=False, h=0.02,
-         n_sum_terms=0)
-@example(freqs=[32.29761548794252] * 3 + [39.36868329980799] * 2, slow=False, h=0.02,
-         n_sum_terms=0)
-@example(freqs=[50.0, 1e308, 1e308], slow=True, h=2.0, n_sum_terms=1)
-def test_near_pair_count_matches_a_brute_force_search_through_ties_and_overflow(
-        freqs, slow, h, n_sum_terms):
+       slow=st.booleans(), h=st.one_of(st.sampled_from([0.01, 0.25, 1.0]), st.floats(1e-3, 4.0)))
+@example(freqs=[3.036470273831545] * 2 + [10.10753808569702] * 3, slow=False, h=0.02)
+@example(freqs=[32.29761548794252] * 3 + [39.36868329980799] * 2, slow=False, h=0.02)
+@example(freqs=[50.0, 1e308, 1e308], slow=True, h=2.0)
+def test_near_pair_count_matches_a_brute_force_search_through_ties_and_overflow(freqs, slow, h):
     frequencies = sorted(freqs)
     if slow:
         frequencies = [0.0] + frequencies
@@ -243,7 +240,7 @@ def test_near_pair_count_matches_a_brute_force_search_through_ties_and_overflow(
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = resonance_report(sys, h, n_sum_terms=n_sum_terms)
+        rep = resonance_report(sys, h)
         pairs = rep.near_resonant_pairs
     sums = rep.sum_values.tolist()
     expected = [[a, b] for a in range(len(sums)) for b in range(a + 1, len(sums))
@@ -321,17 +318,25 @@ def test_resonance_report_flags_frequency_ratios():
         eval_U=no_coupling,
         grad_U=lambda q: np.zeros(3),
     )
-    rep = resonance_report(sys, 0.02, n_sum_terms=2)
+    rep = resonance_report(sys, 0.02)
     assert len(rep.near_resonant_pairs) > 0
 
 
-@pytest.mark.parametrize("n_sum_terms", [1.5, "1", None, -1, 1.0],
-                         ids=["float", "str", "none", "negative", "whole-float"])
-def test_resonance_report_refuses_a_sum_order_that_is_not_a_count(n_sum_terms):
-    sys, _ = fpu()
-    with pytest.raises(ContractViolationError, match="n_sum_terms must be an integer >= 0"):
-        resonance_report(sys, 0.02, n_sum_terms=n_sum_terms)
-    assert resonance_report(sys, 0.02, n_sum_terms=np.int64(0)).sum_values.size == 3
+@pytest.mark.parametrize("n", range(9))
+def test_signed_combinations_are_each_vector_of_one_or_two_units_once(n):
+    oscillatory._signed_combinations.cache_clear()
+    coefficients = oscillatory._signed_combinations(n)
+    assert coefficients.dtype == np.int64 and coefficients.shape == (n * (n + 1), n)
+    with pytest.raises(ValueError):
+        coefficients[...] = 0
+    rows = {tuple(row) for row in coefficients.tolist()}
+    assert len(rows) == len(coefficients)
+    brute = {k for k in itertools.product(range(-2, 3), repeat=n) if 1 <= sum(map(abs, k)) <= 2}
+    # One of each {k, -k}: the rows and their negatives are the brute-force set, once each.
+    negated = {tuple(-x for x in k) for k in rows}
+    assert not rows & negated
+    assert rows | negated == brute
+    assert oscillatory._signed_combinations(n) is coefficients
 
 
 def test_exchange_experiment_refuses_resonant_step():
@@ -484,3 +489,31 @@ def test_step_requires_oscillatory_system():
     with pytest.raises(ContractViolationError):
         trig_step(models.make_harmonic_oscillator(), MOLLIFIED, 0.1,
                   PhaseState(p=np.array([1.0]), q=np.array([0.0])))
+
+
+def _screen_entry_points():
+    """Each oscillatory entry point as a call of (system, filters)."""
+    sys, y0 = fpu()
+    trajectory = trig_run(sys, MOLLIFIED, 0.02, y0, 0.1)
+    return {
+        "resonance_report": lambda s, f: resonance_report(s, 0.02),
+        "energy_table": lambda s, f: energy_table(s, trajectory),
+        "TrigKernel": lambda s, f: TrigKernel(s, f),
+        "run_screened": lambda s, f: run_screened(s, y0, f, 0.02, 0.1, 1),
+    }
+
+
+@pytest.mark.parametrize("bad", [models.make_kepler(0.5)[0], "x"], ids=["kepler", "str"])
+@pytest.mark.parametrize("entry", ["resonance_report", "energy_table", "TrigKernel", "run_screened"])
+def test_entry_points_refuse_a_system_that_is_not_oscillatory(entry, bad):
+    with pytest.raises(ContractViolationError, match="need an OscillatorySystem, got"):
+        _screen_entry_points()[entry](bad, MOLLIFIED)
+
+
+@pytest.mark.parametrize("bad", ["trig-mollified", None, (oscillatory.sinc, oscillatory.sinc)],
+                         ids=["str", "none", "tuple"])
+@pytest.mark.parametrize("entry", ["TrigKernel", "run_screened"])
+def test_entry_points_refuse_filters_that_are_not_a_filter_pair(entry, bad):
+    sys, _ = fpu()
+    with pytest.raises(ContractViolationError, match="filters must be a FilterPair, got"):
+        _screen_entry_points()[entry](sys, bad)
